@@ -6,8 +6,9 @@
 // over a SolverPool with a shared PmfShareCache, against the sequential
 // Engine::Solve baseline. A sample of wave artifacts must serialize
 // bit-identically to their sequential counterparts (the farm's determinism
-// contract), and campaigns stamped from the same profile must share pmf
-// blocks instead of rebuilding them. Reports waves/sec at pool sizes
+// contract), and campaigns stamped from the same profile must share their
+// profile's pmf tables: the cache builds each distinct rate's block exactly
+// once and is asked for nothing more. Reports waves/sec at pool sizes
 // {1,2,4,8}.
 //
 // Part 2 -- batched evaluation: the kernel-backed nominal forward pass
@@ -32,6 +33,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,8 +230,22 @@ int main(int argc, char** argv) {
       wave_seconds > 0.0 ? sequential_seconds / wave_seconds : 0.0,
       static_cast<long long>(share.blocks_built),
       static_cast<long long>(share.blocks_shared));
-  bench::Check(share.blocks_shared > 0,
-               "profile-stamped campaigns shared pmf blocks across the wave");
+  // Profiles repeat rates exactly, so the wave builds one table set per
+  // profile and every campaign of the profile solves over it.
+  std::set<double> distinct_rates;
+  for (int i = 0; i < kNumProfiles; ++i) {
+    for (double lambda : WaveSpec(i, actions).interval_lambdas) {
+      for (const pricing::PricingAction& a : actions.actions()) {
+        distinct_rates.insert(lambda * a.acceptance);
+      }
+    }
+  }
+  bench::Check(share.blocks_built ==
+                       static_cast<int64_t>(distinct_rates.size()) &&
+                   share.blocks_shared == 0,
+               StringF("the wave built each of its %zu distinct pmf tables "
+                       "exactly once",
+                       distinct_rates.size()));
   record.Metric("sequential_solve_seconds", sequential_seconds);
   record.Metric("wave_seconds", wave_seconds);
   record.Metric("wave_speedup",
@@ -238,6 +254,8 @@ int main(int argc, char** argv) {
                 static_cast<double>(share.blocks_built));
   record.Metric("share_blocks_shared",
                 static_cast<double>(share.blocks_shared));
+  record.Metric("share_distinct_rates",
+                static_cast<double>(distinct_rates.size()));
 
   // Pool-size curve on a smaller wave (retimed per size; on a narrow host
   // the curve is flat -- waves parallelize across campaigns, so extra

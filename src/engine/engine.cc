@@ -17,36 +17,7 @@ namespace crowdprice::engine {
 namespace {
 
 Result<PolicyArtifact> SolveDeadline(const PolicySpec& spec) {
-  const auto& s = spec.get<DeadlineDpSpec>();
-  if (!s.actions.has_value()) {
-    return Status::InvalidArgument("DeadlineDpSpec.actions is required");
-  }
-  if (s.expected_remaining_bound.has_value()) {
-    // Theorem 2 penalty bisection; the inner solves honor the spec's
-    // algorithm choice (kSimple is required for bundled action sets).
-    pricing::BoundSolveOptions options = s.bound_options;
-    options.dp_options = s.dp_options;
-    options.use_simple_dp = s.algorithm == DeadlineDpSpec::Algorithm::kSimple;
-    CP_ASSIGN_OR_RETURN(
-        pricing::BoundSolveResult bound,
-        pricing::SolveForExpectedRemaining(s.problem, s.interval_lambdas,
-                                           *s.actions,
-                                           *s.expected_remaining_bound,
-                                           options));
-    return PolicyArtifact(DeadlinePolicy{std::move(bound.plan),
-                                         bound.penalty_used, bound.dp_solves,
-                                         std::move(bound.evaluation)});
-  }
-  Result<pricing::DeadlinePlan> plan =
-      s.algorithm == DeadlineDpSpec::Algorithm::kSimple
-          ? pricing::SolveSimpleDp(s.problem, s.interval_lambdas, *s.actions,
-                                   s.dp_options)
-          : pricing::SolveImprovedDp(s.problem, s.interval_lambdas, *s.actions,
-                                     s.dp_options);
-  CP_RETURN_IF_ERROR(plan.status());
-  return PolicyArtifact(DeadlinePolicy{std::move(plan).value(),
-                                       s.problem.penalty_cents, 1,
-                                       std::nullopt});
+  return Engine::SolveDeadline(spec.get<DeadlineDpSpec>(), nullptr);
 }
 
 Result<PolicyArtifact> SolveBudgetStatic(const PolicySpec& spec) {
@@ -210,6 +181,35 @@ Result<PolicyArtifact> Engine::Solve(const SolverRegistry& registry,
 
 Result<PolicyArtifact> Engine::Solve(const PolicySpec& spec) {
   return Solve(SolverRegistry::Global(), spec);
+}
+
+Result<PolicyArtifact> Engine::SolveDeadline(
+    const DeadlineDpSpec& s, const pricing::DeadlineTables* tables) {
+  if (!s.actions.has_value()) {
+    return Status::InvalidArgument("DeadlineDpSpec.actions is required");
+  }
+  if (s.expected_remaining_bound.has_value()) {
+    // Theorem 2 penalty bisection; the inner solves honor the spec's
+    // algorithm choice (kSimple is required for bundled action sets).
+    pricing::BoundSolveOptions options = s.bound_options;
+    options.dp_options = s.dp_options;
+    options.use_simple_dp = s.algorithm == DeadlineDpSpec::Algorithm::kSimple;
+    CP_ASSIGN_OR_RETURN(
+        pricing::BoundSolveResult bound,
+        pricing::SolveForExpectedRemaining(s.problem, s.interval_lambdas,
+                                           *s.actions,
+                                           *s.expected_remaining_bound, options,
+                                           tables));
+    return PolicyArtifact(DeadlinePolicy{std::move(bound.plan),
+                                         bound.penalty_used, bound.dp_solves,
+                                         std::move(bound.evaluation)});
+  }
+  CP_ASSIGN_OR_RETURN(
+      pricing::DeadlinePlan plan,
+      pricing::SolveDeadlineDp(s.problem, s.interval_lambdas, *s.actions,
+                               s.algorithm, s.dp_options, tables));
+  return PolicyArtifact(DeadlinePolicy{std::move(plan), s.problem.penalty_cents,
+                                       1, std::nullopt});
 }
 
 }  // namespace crowdprice::engine

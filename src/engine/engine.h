@@ -36,6 +36,14 @@ class Engine {
   /// Same, against an explicit registry.
   static Result<PolicyArtifact> Solve(const SolverRegistry& registry,
                                       const PolicySpec& spec);
+
+  /// The built-in deadline solver (fixed-penalty or bound mode) over
+  /// prebuilt tables for the spec's rate grid (InvalidArgument if they
+  /// were built for another grid); null tables make it Solve(spec)'s
+  /// deadline path. engine::SolveWave runs each deadline campaign here
+  /// with its grid's shared tables.
+  static Result<PolicyArtifact> SolveDeadline(
+      const DeadlineDpSpec& spec, const pricing::DeadlineTables* tables);
 };
 
 /// Free-function convenience for Engine::Solve(spec).

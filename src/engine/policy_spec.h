@@ -48,10 +48,9 @@ const char* KindName(PolicyKind kind);
 /// when `expected_remaining_bound` is set -- through the Theorem 2 penalty
 /// bisection to hit an E[remaining] target.
 struct DeadlineDpSpec {
-  enum class Algorithm {
-    kSimple,   ///< Algorithm 1; required for bundled (multi-task HIT) actions.
-    kImproved  ///< Algorithm 2 monotone search; unit-bundle action sets only.
-  };
+  /// kSimple (Algorithm 1) is required for bundled (multi-task HIT)
+  /// actions; kImproved (Algorithm 2) takes unit-bundle action sets only.
+  using Algorithm = pricing::DpAlgorithm;
 
   pricing::DeadlineProblem problem;
   std::vector<double> interval_lambdas;

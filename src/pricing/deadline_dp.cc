@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "kernel/layer_scan.h"
 #include "kernel/pmf_arena.h"
@@ -22,15 +23,9 @@ constexpr int kParallelMinTasks = 256;
 // Smallest monotone n-range handed to a worker as one task.
 constexpr int kParallelMinRange = 32;
 
-Status ValidateInputs(const DeadlineProblem& problem,
-                      const std::vector<double>& interval_lambdas,
-                      const ActionSet& actions) {
-  CP_RETURN_IF_ERROR(problem.Validate());
-  if (interval_lambdas.size() != static_cast<size_t>(problem.num_intervals)) {
-    return Status::InvalidArgument(
-        StringF("interval_lambdas has %zu entries; problem has %d intervals",
-                interval_lambdas.size(), problem.num_intervals));
-  }
+// The grid half of a solve's input checks, shared with DeadlineTables.
+Status ValidateGrid(const std::vector<double>& interval_lambdas,
+                    const ActionSet& actions) {
   for (size_t t = 0; t < interval_lambdas.size(); ++t) {
     if (!(interval_lambdas[t] >= 0.0) || !std::isfinite(interval_lambdas[t])) {
       return Status::InvalidArgument(
@@ -44,70 +39,17 @@ Status ValidateInputs(const DeadlineProblem& problem,
   return Status::OK();
 }
 
-// The solve's kernel-facing tables: one PmfArena packing every (interval,
-// action) truncated pmf -- deduplicated by quantized rate, so constant or
-// periodic traces and adaptive re-solves share tables -- plus the
-// action-parallel parameter arrays a LayerTables points into.
-class SolveTables {
- public:
-  static Result<SolveTables> Build(const DeadlineProblem& problem,
-                                   const std::vector<double>& interval_lambdas,
-                                   const ActionSet& actions,
-                                   kernel::PmfShareCache* share_cache) {
-    SolveTables out;
-    const size_t num_actions = actions.size();
-    std::vector<double> rates;
-    rates.reserve(interval_lambdas.size() * num_actions);
-    for (double lambda_t : interval_lambdas) {
-      for (const PricingAction& a : actions.actions()) {
-        rates.push_back(lambda_t * a.acceptance);
-      }
-    }
-    CP_ASSIGN_OR_RETURN(
-        kernel::PmfArena arena,
-        kernel::PmfArena::Build(rates, problem.truncation_epsilon,
-                                kernel::PmfArena::Dedup::kQuantizedRate,
-                                share_cache));
-    out.arena_ = std::make_shared<kernel::PmfArena>(std::move(arena));
-    out.table_ids_.reserve(rates.size());
-    for (size_t i = 0; i < rates.size(); ++i) {
-      out.table_ids_.push_back(out.arena_->TableOf(i));
-    }
-    out.costs_.reserve(num_actions);
-    out.bundles_.reserve(num_actions);
-    for (const PricingAction& a : actions.actions()) {
-      out.costs_.push_back(a.cost_per_task_cents);
-      out.bundles_.push_back(a.bundle);
-    }
-    return out;
+Status ValidateInputs(const DeadlineProblem& problem,
+                      const std::vector<double>& interval_lambdas,
+                      const ActionSet& actions) {
+  CP_RETURN_IF_ERROR(problem.Validate());
+  if (interval_lambdas.size() != static_cast<size_t>(problem.num_intervals)) {
+    return Status::InvalidArgument(
+        StringF("interval_lambdas has %zu entries; problem has %d intervals",
+                interval_lambdas.size(), problem.num_intervals));
   }
-
-  kernel::LayerTables Layer(int t) const {
-    kernel::LayerTables layer;
-    layer.arena = arena_.get();
-    layer.tables =
-        table_ids_.data() + static_cast<size_t>(t) * costs_.size();
-    layer.costs = costs_.data();
-    layer.bundles = bundles_.data();
-    layer.num_actions = static_cast<int>(costs_.size());
-    return layer;
-  }
-
-  const kernel::PmfArena& arena() const { return *arena_; }
-  /// Shared handle + table grid for DeadlinePlan::SetSolveArena.
-  std::shared_ptr<const kernel::PmfArena> shared_arena() const {
-    return arena_;
-  }
-  const std::vector<int>& table_ids() const { return table_ids_; }
-
- private:
-  // shared_ptr so SolveTables stays movable with stable LayerTables
-  // pointers, and the plan can retain the arena past the solve.
-  std::shared_ptr<kernel::PmfArena> arena_;
-  std::vector<int> table_ids_;  ///< [interval][action], interval-major.
-  std::vector<double> costs_;
-  std::vector<int> bundles_;
-};
+  return ValidateGrid(interval_lambdas, actions);
+}
 
 // One state of Algorithm 2: search bracket [a_lo, a_hi], optionally capped
 // from above by Price(n, t+1) (time monotonicity). Writes the layer rows.
@@ -153,14 +95,73 @@ struct MonotoneRange {
   int width() const { return n_hi - n_lo + 1; }
 };
 
-enum class Mode { kSimple, kImproved };
+}  // namespace
 
-Result<DeadlinePlan> Solve(const DeadlineProblem& problem,
-                           const std::vector<double>& interval_lambdas,
-                           const ActionSet& actions, Mode mode,
-                           const DpOptions& options) {
+Result<DeadlineTables> DeadlineTables::Build(
+    const std::vector<double>& interval_lambdas, const ActionSet& actions,
+    double truncation_epsilon, kernel::PmfShareCache* share_cache) {
+  CP_RETURN_IF_ERROR(ValidateGrid(interval_lambdas, actions));
+  if (!(truncation_epsilon > 0.0 && truncation_epsilon < 1.0)) {
+    return Status::InvalidArgument(
+        StringF("truncation_epsilon must be in (0, 1); got %g",
+                truncation_epsilon));
+  }
+  std::vector<double> rates;
+  rates.reserve(interval_lambdas.size() * actions.size());
+  for (double lambda_t : interval_lambdas) {
+    for (const PricingAction& a : actions.actions()) {
+      rates.push_back(lambda_t * a.acceptance);
+    }
+  }
+  CP_ASSIGN_OR_RETURN(
+      kernel::PmfArena arena,
+      kernel::PmfArena::Build(rates, truncation_epsilon,
+                              kernel::PmfArena::Dedup::kQuantizedRate,
+                              share_cache));
+  DeadlineTables out;
+  out.table_ids_.reserve(rates.size());
+  for (size_t i = 0; i < rates.size(); ++i) {
+    out.table_ids_.push_back(arena.TableOf(i));
+  }
+  out.arena_ = std::make_shared<const kernel::PmfArena>(std::move(arena));
+  out.grid_key_ = GridKey(interval_lambdas, actions, truncation_epsilon);
+  return out;
+}
+
+std::string DeadlineTables::GridKey(
+    const std::vector<double>& interval_lambdas, const ActionSet& actions,
+    double truncation_epsilon) {
+  // Fixed-width fields (epsilon, interval count, means, acceptances), so
+  // two grids share a key only when every bit agrees.
+  std::string key;
+  key.reserve(sizeof(double) * (2 + interval_lambdas.size() + actions.size()));
+  const auto append = [&key](const void* bytes, size_t n) {
+    key.append(static_cast<const char*>(bytes), n);
+  };
+  const uint64_t intervals = interval_lambdas.size();
+  append(&truncation_epsilon, sizeof(double));
+  append(&intervals, sizeof(intervals));
+  append(interval_lambdas.data(), interval_lambdas.size() * sizeof(double));
+  for (const PricingAction& a : actions.actions()) {
+    append(&a.acceptance, sizeof(double));
+  }
+  return key;
+}
+
+Result<DeadlinePlan> SolveDeadlineDp(
+    const DeadlineProblem& problem,
+    const std::vector<double>& interval_lambdas, const ActionSet& actions,
+    DpAlgorithm algorithm, const DpOptions& options,
+    const DeadlineTables* tables) {
   CP_RETURN_IF_ERROR(ValidateInputs(problem, interval_lambdas, actions));
-  if (mode == Mode::kImproved && !actions.uniform_unit_bundle()) {
+  if (tables != nullptr &&
+      !tables->BuiltFor(interval_lambdas, actions,
+                        problem.truncation_epsilon)) {
+    return Status::InvalidArgument(
+        "deadline tables were built for a different rate grid (interval "
+        "means, action acceptances or truncation epsilon)");
+  }
+  if (algorithm == DpAlgorithm::kImproved && !actions.uniform_unit_bundle()) {
     return Status::FailedPrecondition(
         "monotone price search (Algorithm 2) requires a unit-bundle action "
         "set; use SolveSimpleDp for bundled actions");
@@ -177,7 +178,7 @@ Result<DeadlinePlan> Solve(const DeadlineProblem& problem,
   const int nt = problem.num_intervals;
   const int num_tasks = problem.num_tasks;
   const bool monotone =
-      mode == Mode::kImproved && options.monotone_price_search;
+      algorithm == DpAlgorithm::kImproved && options.monotone_price_search;
 
   const int requested_threads = options.num_threads > 0
                                     ? options.num_threads
@@ -190,14 +191,34 @@ Result<DeadlinePlan> Solve(const DeadlineProblem& problem,
       std::min(requested_threads, ThreadPool::Shared().size() + 1);
   std::atomic<int64_t> evals{0};
 
-  // All of the solve's pmf tables in one aligned arena, built before any
-  // layer work so the scans (and their worker threads) only read.
-  CP_ASSIGN_OR_RETURN(SolveTables tables,
-                      SolveTables::Build(problem, interval_lambdas, actions,
-                                         options.share_cache));
+  // All of the solve's pmf tables in one aligned arena, built (unless the
+  // caller handed them in) before any layer work so the scans and their
+  // worker threads only read.
+  std::optional<DeadlineTables> own_tables;
+  if (tables == nullptr) {
+    CP_ASSIGN_OR_RETURN(
+        own_tables,
+        DeadlineTables::Build(interval_lambdas, actions,
+                              problem.truncation_epsilon, options.share_cache));
+    tables = &*own_tables;
+  }
+  std::vector<double> costs;
+  std::vector<int> bundles;
+  costs.reserve(actions.size());
+  bundles.reserve(actions.size());
+  for (const PricingAction& a : actions.actions()) {
+    costs.push_back(a.cost_per_task_cents);
+    bundles.push_back(a.bundle);
+  }
 
   for (int t = nt - 1; t >= 0; --t) {
-    const kernel::LayerTables layer = tables.Layer(t);
+    kernel::LayerTables layer;
+    layer.arena = tables->arena().get();
+    layer.tables =
+        tables->table_ids().data() + static_cast<size_t>(t) * num_actions;
+    layer.costs = costs.data();
+    layer.bundles = bundles.data();
+    layer.num_actions = num_actions;
     // With the layer-major arena, layer t+1 is read and layer t written in
     // place -- no per-layer copies.
     const double* opt_next = plan.OptLayer(t + 1);
@@ -281,30 +302,30 @@ Result<DeadlinePlan> Solve(const DeadlineProblem& problem,
 
   plan.action_evaluations = evals.load();
   plan.threads_used = parallel ? effective_threads : 1;
-  plan.poisson_tables_built = tables.arena().tables_built();
-  plan.poisson_table_reuses = tables.arena().table_reuses();
+  plan.poisson_tables_built = tables->arena()->tables_built();
+  plan.poisson_table_reuses = tables->arena()->table_reuses();
   plan.kernel_backend = kern->name();
-  plan.SetSolveArena(tables.shared_arena(), tables.table_ids());
+  plan.SetSolveArena(tables->arena(), tables->table_ids());
   plan.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return plan;
 }
 
-}  // namespace
-
 Result<DeadlinePlan> SolveSimpleDp(const DeadlineProblem& problem,
                                    const std::vector<double>& interval_lambdas,
                                    const ActionSet& actions,
                                    const DpOptions& options) {
-  return Solve(problem, interval_lambdas, actions, Mode::kSimple, options);
+  return SolveDeadlineDp(problem, interval_lambdas, actions,
+                         DpAlgorithm::kSimple, options);
 }
 
 Result<DeadlinePlan> SolveImprovedDp(
     const DeadlineProblem& problem,
     const std::vector<double>& interval_lambdas, const ActionSet& actions,
     const DpOptions& options) {
-  return Solve(problem, interval_lambdas, actions, Mode::kImproved, options);
+  return SolveDeadlineDp(problem, interval_lambdas, actions,
+                         DpAlgorithm::kImproved, options);
 }
 
 }  // namespace crowdprice::pricing

@@ -19,10 +19,20 @@
 // An optional further pruning uses the price monotonicity in t for fixed n
 // (§3.2 last paragraph): Price(n, t) <= Price(n, t+1), so the layer at t+1
 // caps each state's search range from above.
+//
+// Both algorithms run over DeadlineTables: the truncated-Poisson tables of
+// one rate grid (per-interval worker means x action acceptances, at one
+// truncation epsilon). The tables do not depend on N, the penalty, the
+// prices or the algorithm, so callers that solve one grid many times build
+// them once and hand them to SolveDeadlineDp: the Theorem 2 penalty search
+// (pricing/penalty_search.h) shares one set across its bisection, and
+// engine::SolveWave one set per distinct grid across a wave. A solve given
+// no set builds its own, which is all SolveSimpleDp and SolveImprovedDp do.
 
 #ifndef CROWDPRICE_PRICING_DEADLINE_DP_H_
 #define CROWDPRICE_PRICING_DEADLINE_DP_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +40,7 @@
 #include "util/result.h"
 
 namespace crowdprice::kernel {
+class PmfArena;
 class PmfShareCache;
 }  // namespace crowdprice::kernel
 
@@ -54,14 +65,74 @@ struct DpOptions {
   /// "scalar" plans are bit-identical on every platform; SIMD plans agree
   /// to ~1e-12 and pick the same actions away from exact cost ties.
   std::string kernel_backend;
-  /// Cross-solve pmf sharing: when set, the solve adopts truncated-Poisson
-  /// blocks from (and contributes new ones to) this cache instead of
-  /// building a private arena block. Cache keys are exact rate bits, so
-  /// the produced plan is bit-identical with and without a cache (see
-  /// kernel/pmf_cache.h). Not owned; must outlive the solve. Never
+  /// Cross-solve pmf sharing: when set, a solve that builds its own
+  /// DeadlineTables adopts truncated-Poisson blocks from (and contributes
+  /// new ones to) this cache instead of building a private arena block.
+  /// Cache keys are exact rate bits, so the produced plan is bit-identical
+  /// with and without a cache (see kernel/pmf_cache.h). Unused by a solve
+  /// handed prebuilt tables. Not owned; must outlive the solve. Never
   /// serialized -- deserialized artifacts carry the default nullptr.
   kernel::PmfShareCache* share_cache = nullptr;
 };
+
+/// The truncated-Poisson tables of one rate grid: one PmfArena holding the
+/// table of every (interval, action) rate lambda_t * p(c) -- deduplicated
+/// by quantized rate, so constant or periodic traces share tables -- plus
+/// the interval-major [t * num_actions + a] table-id grid. Immutable after
+/// Build; copies share the arena. A solve refuses tables built for another
+/// grid, so handing a set to the wrong solve fails instead of mispricing.
+class DeadlineTables {
+ public:
+  /// Builds the tables for `interval_lambdas` (each finite and >= 0) x the
+  /// acceptances of `actions` (non-empty) at `truncation_epsilon` (in
+  /// (0, 1)). With a `share_cache`, each distinct table is adopted from
+  /// (or built into) the cache; the contents are the same either way.
+  static Result<DeadlineTables> Build(
+      const std::vector<double>& interval_lambdas, const ActionSet& actions,
+      double truncation_epsilon, kernel::PmfShareCache* share_cache = nullptr);
+
+  /// Identity of a grid: the exact bits of the epsilon, the means and the
+  /// acceptances. Grids with equal keys have byte-identical tables.
+  static std::string GridKey(const std::vector<double>& interval_lambdas,
+                             const ActionSet& actions,
+                             double truncation_epsilon);
+
+  /// Whether these are the tables of exactly that grid.
+  bool BuiltFor(const std::vector<double>& interval_lambdas,
+                const ActionSet& actions, double truncation_epsilon) const {
+    return GridKey(interval_lambdas, actions, truncation_epsilon) == grid_key_;
+  }
+
+  const std::shared_ptr<const kernel::PmfArena>& arena() const {
+    return arena_;
+  }
+  /// Arena table id per (interval, action), interval-major.
+  const std::vector<int>& table_ids() const { return table_ids_; }
+
+ private:
+  DeadlineTables() = default;
+
+  std::shared_ptr<const kernel::PmfArena> arena_;
+  std::vector<int> table_ids_;
+  std::string grid_key_;
+};
+
+/// The backward-induction price search a deadline solve runs.
+enum class DpAlgorithm {
+  kSimple,    ///< Algorithm 1: every state scans every action.
+  kImproved,  ///< Algorithm 2: monotone divide-and-conquer price search.
+};
+
+/// The one deadline solve path. With `tables`, the solve runs over that
+/// prebuilt set, which must have been built for this solve's grid
+/// (interval_lambdas, the actions' acceptances, the problem's
+/// truncation_epsilon; InvalidArgument otherwise); the plan is byte-
+/// identical to a solve that builds its own. Null builds a set first.
+Result<DeadlinePlan> SolveDeadlineDp(
+    const DeadlineProblem& problem,
+    const std::vector<double>& interval_lambdas, const ActionSet& actions,
+    DpAlgorithm algorithm, const DpOptions& options = {},
+    const DeadlineTables* tables = nullptr);
 
 /// Algorithm 1. Supports any ActionSet (including bundled HIT actions).
 /// interval_lambdas must have problem.num_intervals entries, each finite

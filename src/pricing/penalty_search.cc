@@ -20,15 +20,16 @@ struct Attempt {
 Result<Attempt> TryPenalty(const DeadlineProblem& base,
                            const std::vector<double>& lambdas,
                            const ActionSet& actions, double penalty,
-                           const BoundSolveOptions& options) {
+                           const BoundSolveOptions& options,
+                           const DeadlineTables& tables) {
   DeadlineProblem problem = base;
   problem.penalty_cents = penalty;
-  Result<DeadlinePlan> solved =
-      options.use_simple_dp
-          ? SolveSimpleDp(problem, lambdas, actions, options.dp_options)
-          : SolveImprovedDp(problem, lambdas, actions, options.dp_options);
-  CP_RETURN_IF_ERROR(solved.status());
-  DeadlinePlan plan = std::move(solved).value();
+  CP_ASSIGN_OR_RETURN(
+      DeadlinePlan plan,
+      SolveDeadlineDp(problem, lambdas, actions,
+                      options.use_simple_dp ? DpAlgorithm::kSimple
+                                            : DpAlgorithm::kImproved,
+                      options.dp_options, &tables));
   CP_ASSIGN_OR_RETURN(PolicyEvaluation eval, EvaluatePolicyNominal(plan));
   return Attempt{std::move(plan), std::move(eval), penalty};
 }
@@ -38,6 +39,14 @@ Result<Attempt> TryPenalty(const DeadlineProblem& base,
 Result<BoundSolveResult> SolveForExpectedRemaining(
     const DeadlineProblem& problem, const std::vector<double>& interval_lambdas,
     const ActionSet& actions, double bound, const BoundSolveOptions& options) {
+  return SolveForExpectedRemaining(problem, interval_lambdas, actions, bound,
+                                   options, nullptr);
+}
+
+Result<BoundSolveResult> SolveForExpectedRemaining(
+    const DeadlineProblem& problem, const std::vector<double>& interval_lambdas,
+    const ActionSet& actions, double bound, const BoundSolveOptions& options,
+    const DeadlineTables* tables) {
   if (!(bound >= 0.0) || !std::isfinite(bound)) {
     return Status::InvalidArgument(
         StringF("bound must be finite, >= 0; got %g", bound));
@@ -45,8 +54,28 @@ Result<BoundSolveResult> SolveForExpectedRemaining(
   if (options.max_iterations < 1) {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }
-  if (!(options.initial_penalty > 0.0)) {
-    return Status::InvalidArgument("initial_penalty must be > 0");
+  if (!(options.initial_penalty > 0.0) ||
+      !std::isfinite(options.initial_penalty)) {
+    return Status::InvalidArgument(
+        StringF("initial_penalty must be finite and > 0; got %g",
+                options.initial_penalty));
+  }
+  if (!(options.max_penalty >= options.initial_penalty) ||
+      !std::isfinite(options.max_penalty)) {
+    return Status::InvalidArgument(
+        StringF("max_penalty must be finite and >= initial_penalty %g; got %g",
+                options.initial_penalty, options.max_penalty));
+  }
+  // The tables do not depend on the penalty: build them once for every
+  // solve of the search.
+  std::optional<DeadlineTables> own_tables;
+  if (tables == nullptr) {
+    CP_ASSIGN_OR_RETURN(
+        own_tables,
+        DeadlineTables::Build(interval_lambdas, actions,
+                              problem.truncation_epsilon,
+                              options.dp_options.share_cache));
+    tables = &*own_tables;
   }
   int solves = 0;
   // Bracket: grow the penalty until the bound is met.
@@ -55,7 +84,7 @@ Result<BoundSolveResult> SolveForExpectedRemaining(
   while (true) {
     CP_ASSIGN_OR_RETURN(
         Attempt attempt,
-        TryPenalty(problem, interval_lambdas, actions, hi, options));
+        TryPenalty(problem, interval_lambdas, actions, hi, options, *tables));
     ++solves;
     if (attempt.eval.expected_remaining <= bound) {
       feasible = std::move(attempt);
@@ -76,7 +105,7 @@ Result<BoundSolveResult> SolveForExpectedRemaining(
     if (mid <= lo || mid >= hi) break;  // resolution exhausted
     CP_ASSIGN_OR_RETURN(
         Attempt attempt,
-        TryPenalty(problem, interval_lambdas, actions, mid, options));
+        TryPenalty(problem, interval_lambdas, actions, mid, options, *tables));
     ++solves;
     if (attempt.eval.expected_remaining <= bound) {
       hi = mid;

@@ -4,6 +4,12 @@
 // the dual form: minimize E[cost] subject to E[remaining] <= Bound. By
 // Theorem 2 the two coincide for a suitable Penalty, found here by binary
 // search (E[remaining] is non-increasing in Penalty).
+//
+// The pmf tables do not depend on the penalty, so a search builds its
+// grid's DeadlineTables once (through dp_options.share_cache when set) and
+// runs every DP solve over them; each nominal evaluation then replays the
+// same tables through the plan (pricing/policy_eval.h). A caller that
+// already holds the grid's tables -- engine::SolveWave -- hands them in.
 
 #ifndef CROWDPRICE_PRICING_PENALTY_SEARCH_H_
 #define CROWDPRICE_PRICING_PENALTY_SEARCH_H_
@@ -20,8 +26,10 @@ struct BoundSolveOptions {
   /// Bisection iterations after bracketing (each is one DP solve).
   int max_iterations = 24;
   /// Initial upper bracket for Penalty; grows geometrically if needed.
+  /// Must be finite and > 0.
   double initial_penalty = 100.0;
   /// Growth cap: give up if Penalty exceeds this without meeting the bound.
+  /// Must be finite and >= initial_penalty.
   double max_penalty = 1e9;
   /// Run each inner solve with Algorithm 1 instead of Algorithm 2;
   /// required for bundled (multi-task HIT) action sets.
@@ -44,6 +52,14 @@ Result<BoundSolveResult> SolveForExpectedRemaining(
     const DeadlineProblem& problem, const std::vector<double>& interval_lambdas,
     const ActionSet& actions, double bound,
     const BoundSolveOptions& options = {});
+
+/// The same search over prebuilt tables for this grid (see
+/// SolveDeadlineDp; InvalidArgument if they were built for another grid).
+/// Null builds them, exactly as the overload above does.
+Result<BoundSolveResult> SolveForExpectedRemaining(
+    const DeadlineProblem& problem, const std::vector<double>& interval_lambdas,
+    const ActionSet& actions, double bound, const BoundSolveOptions& options,
+    const DeadlineTables* tables);
 
 }  // namespace crowdprice::pricing
 

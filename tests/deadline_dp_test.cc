@@ -216,6 +216,102 @@ TEST(SolveImprovedDpTest, RejectsBundledActions) {
                   .IsFailedPrecondition());
 }
 
+// --- Prebuilt table sets ------------------------------------------------------
+
+TEST(DeadlineTablesTest, PrebuiltSetSolvesBitIdentically) {
+  const auto actions = ActionSet::FromPriceGrid(25, PaperAcceptance()).value();
+  const std::vector<double> lambdas{300.0, 420.0, 300.0, 510.0, 300.0, 420.0};
+  DeadlineProblem p = SmallProblem();
+  const auto tables =
+      DeadlineTables::Build(lambdas, actions, p.truncation_epsilon).value();
+  // N, the penalty and the algorithm are not part of the grid.
+  for (int n : {5, 20}) {
+    for (double penalty : {40.0, 300.0}) {
+      for (DpAlgorithm algorithm :
+           {DpAlgorithm::kSimple, DpAlgorithm::kImproved}) {
+        p.num_tasks = n;
+        p.penalty_cents = penalty;
+        const DeadlinePlan shared =
+            SolveDeadlineDp(p, lambdas, actions, algorithm, {}, &tables)
+                .value();
+        const DeadlinePlan own =
+            SolveDeadlineDp(p, lambdas, actions, algorithm).value();
+        EXPECT_EQ(shared.solve_arena(), tables.arena());
+        EXPECT_EQ(shared.arena_table_ids(), own.arena_table_ids());
+        EXPECT_EQ(shared.poisson_tables_built, own.poisson_tables_built);
+        EXPECT_EQ(shared.poisson_table_reuses, own.poisson_table_reuses);
+        for (int t = 0; t <= p.num_intervals; ++t) {
+          for (int k = 0; k <= n; ++k) {
+            ASSERT_EQ(shared.OptUnchecked(k, t), own.OptUnchecked(k, t));
+            if (t < p.num_intervals && k > 0) {
+              ASSERT_EQ(shared.ActionIndexUnchecked(k, t),
+                        own.ActionIndexUnchecked(k, t));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DeadlineTablesTest, RefusesSetBuiltForAnotherGrid) {
+  const auto actions = ActionSet::FromPriceGrid(25, PaperAcceptance()).value();
+  const auto lambdas = ConstantLambdas(6, 400.0);
+  const DeadlineProblem p = SmallProblem();
+  const auto tables =
+      DeadlineTables::Build(lambdas, actions, p.truncation_epsilon).value();
+  ASSERT_TRUE(SolveDeadlineDp(p, lambdas, actions, DpAlgorithm::kImproved, {},
+                              &tables)
+                  .ok());
+
+  // Another epsilon.
+  DeadlineProblem coarser = p;
+  coarser.truncation_epsilon = p.truncation_epsilon * 10.0;
+  EXPECT_TRUE(SolveDeadlineDp(coarser, lambdas, actions,
+                              DpAlgorithm::kImproved, {}, &tables)
+                  .status()
+                  .IsInvalidArgument());
+  // Another means vector, one ulp off in one interval.
+  std::vector<double> nudged = lambdas;
+  nudged[3] = std::nextafter(nudged[3], 1e9);
+  EXPECT_TRUE(SolveDeadlineDp(p, nudged, actions, DpAlgorithm::kSimple, {},
+                              &tables)
+                  .status()
+                  .IsInvalidArgument());
+  // Another acceptance vector (same prices, one acceptance changed).
+  std::vector<PricingAction> raw = actions.actions();
+  raw.back().acceptance = std::nextafter(raw.back().acceptance, 1.0);
+  const auto reaccepted = ActionSet::FromActions(raw).value();
+  EXPECT_TRUE(SolveDeadlineDp(p, lambdas, reaccepted, DpAlgorithm::kImproved,
+                              {}, &tables)
+                  .status()
+                  .IsInvalidArgument());
+  // Prices are not part of the grid: the same acceptances at other prices
+  // solve over the set.
+  for (PricingAction& a : raw) a.cost_per_task_cents *= 2.0;
+  raw.back().acceptance = actions.actions().back().acceptance;
+  const auto repriced = ActionSet::FromActions(raw).value();
+  EXPECT_TRUE(SolveDeadlineDp(p, lambdas, repriced, DpAlgorithm::kImproved,
+                              {}, &tables)
+                  .ok());
+}
+
+TEST(DeadlineTablesTest, BuildValidatesTheGrid) {
+  const auto actions = ActionSet::FromPriceGrid(10, PaperAcceptance()).value();
+  EXPECT_TRUE(DeadlineTables::Build({100.0, -1.0}, actions, 1e-6)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(DeadlineTables::Build({100.0, std::nan("")}, actions, 1e-6)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(DeadlineTables::Build({100.0}, actions, 0.0)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(DeadlineTables::Build({100.0}, actions, 1.0)
+                  .status()
+                  .IsInvalidArgument());
+}
+
 // --- Equivalence & monotonicity property sweep ------------------------------
 
 struct DpCase {

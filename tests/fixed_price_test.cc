@@ -1,11 +1,14 @@
 #include "pricing/fixed_price.h"
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "choice/acceptance.h"
+#include "kernel/pmf_cache.h"
 #include "pricing/penalty_search.h"
+#include "pricing/serialization.h"
 #include "stats/poisson.h"
 
 namespace crowdprice::pricing {
@@ -203,6 +206,152 @@ TEST(PenaltySearchTest, Validation) {
   EXPECT_TRUE(SolveForExpectedRemaining(p, lambdas, actions, 1.0, bad)
                   .status()
                   .IsInvalidArgument());
+  // Penalty bracket limits are checked before the first solve: a NaN cap
+  // used to let an unreachable bound grow the penalty until it overflowed,
+  // and an infinite start failed inside the DP with a misleading message.
+  const auto unreachable = ActionSet::FromPriceGrid(2, acc).value();
+  for (auto [initial, cap] :
+       {std::pair{100.0, std::nan("")}, std::pair{HUGE_VAL, 1e9},
+        std::pair{100.0, HUGE_VAL}, std::pair{std::nan(""), 1e9},
+        std::pair{0.0, 1e9}, std::pair{100.0, 50.0}}) {
+    BoundSolveOptions limits;
+    limits.initial_penalty = initial;
+    limits.max_penalty = cap;
+    auto result =
+        SolveForExpectedRemaining(p, lambdas, unreachable, 0.001, limits);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << "initial " << initial << " cap " << cap << ": " << result.status();
+  }
+}
+
+// The search as it ran before it shared one table set: every step a fresh
+// solve (building its own tables) plus a fresh nominal evaluation.
+struct ReferenceSearch {
+  DeadlinePlan plan;
+  PolicyEvaluation evaluation;
+  double penalty_used;
+  int dp_solves;
+};
+
+ReferenceSearch FreshSolveSearch(const DeadlineProblem& base,
+                                 const std::vector<double>& lambdas,
+                                 const ActionSet& actions, double bound,
+                                 const BoundSolveOptions& options) {
+  const auto attempt = [&](double penalty) {
+    DeadlineProblem problem = base;
+    problem.penalty_cents = penalty;
+    DeadlinePlan plan =
+        (options.use_simple_dp
+             ? SolveSimpleDp(problem, lambdas, actions, options.dp_options)
+             : SolveImprovedDp(problem, lambdas, actions, options.dp_options))
+            .value();
+    PolicyEvaluation eval = EvaluatePolicyNominal(plan).value();
+    return ReferenceSearch{std::move(plan), std::move(eval), penalty, 0};
+  };
+  int solves = 1;
+  double hi = options.initial_penalty;
+  ReferenceSearch feasible = attempt(hi);
+  while (feasible.evaluation.expected_remaining > bound) {
+    hi *= 4.0;
+    feasible = attempt(hi);
+    ++solves;
+  }
+  double lo = hi > options.initial_penalty ? hi / 4.0 : 0.0;
+  for (int i = 0; i < options.max_iterations; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid <= lo || mid >= hi) break;
+    ReferenceSearch step = attempt(mid);
+    ++solves;
+    if (step.evaluation.expected_remaining <= bound) {
+      hi = mid;
+      feasible = std::move(step);
+    } else {
+      lo = mid;
+    }
+  }
+  feasible.dp_solves = solves;
+  return feasible;
+}
+
+TEST(PenaltySearchTest, SharedTablesMatchFreshSolves) {
+  auto acc = Paper();
+  auto actions = ActionSet::FromPriceGrid(40, acc).value();
+  DeadlineProblem p;
+  p.num_tasks = 40;
+  p.num_intervals = 10;
+  std::vector<double> lambdas;
+  for (int t = 0; t < p.num_intervals; ++t) {
+    lambdas.push_back(700.0 + 90.0 * (t % 4));  // periodic: tables repeat
+  }
+  const double bound = 0.5;
+  for (bool simple : {false, true}) {
+    for (const char* backend : {"scalar", ""}) {
+      SCOPED_TRACE(testing::Message() << (simple ? "Algorithm 1" : "Algorithm 2")
+                                      << ", backend '" << backend << "'");
+      kernel::PmfShareCache cache;
+      BoundSolveOptions options;
+      options.use_simple_dp = simple;
+      options.dp_options.kernel_backend = backend;
+      options.dp_options.share_cache = &cache;
+      const BoundSolveResult got =
+          SolveForExpectedRemaining(p, lambdas, actions, bound, options)
+              .value();
+
+      // The whole search requested the grid's tables from the cache once.
+      const kernel::PmfArena::Stats stats = cache.stats();
+      EXPECT_EQ(stats.blocks_built, got.plan.poisson_tables_built);
+      EXPECT_EQ(stats.blocks_shared, 0);
+
+      options.dp_options.share_cache = nullptr;
+      const ReferenceSearch want =
+          FreshSolveSearch(p, lambdas, actions, bound, options);
+      EXPECT_EQ(got.penalty_used, want.penalty_used);
+      EXPECT_EQ(got.dp_solves, want.dp_solves);
+      EXPECT_EQ(SerializePlan(got.plan), SerializePlan(want.plan));
+
+      // A fresh solve at the chosen penalty and its own evaluation.
+      DeadlineProblem at = p;
+      at.penalty_cents = got.penalty_used;
+      const DeadlinePlan fresh =
+          (simple ? SolveSimpleDp(at, lambdas, actions, options.dp_options)
+                  : SolveImprovedDp(at, lambdas, actions, options.dp_options))
+              .value();
+      EXPECT_EQ(SerializePlan(got.plan), SerializePlan(fresh));
+      const PolicyEvaluation eval = EvaluatePolicyNominal(fresh).value();
+      for (const PolicyEvaluation* e : {&want.evaluation, &eval}) {
+        EXPECT_EQ(got.evaluation.expected_cost_cents, e->expected_cost_cents);
+        EXPECT_EQ(got.evaluation.expected_remaining, e->expected_remaining);
+        EXPECT_EQ(got.evaluation.prob_unfinished, e->prob_unfinished);
+        EXPECT_EQ(got.evaluation.remaining_distribution,
+                  e->remaining_distribution);
+        EXPECT_EQ(got.evaluation.average_reward_per_task,
+                  e->average_reward_per_task);
+        EXPECT_EQ(got.evaluation.expected_objective, e->expected_objective);
+      }
+    }
+  }
+}
+
+TEST(PenaltySearchTest, RefusesTablesOfAnotherGrid) {
+  auto acc = Paper();
+  auto actions = ActionSet::FromPriceGrid(40, acc).value();
+  DeadlineProblem p;
+  p.num_tasks = 20;
+  p.num_intervals = 6;
+  const auto lambdas = std::vector<double>(6, 800.0);
+  const auto other = DeadlineTables::Build(std::vector<double>(6, 801.0),
+                                           actions, p.truncation_epsilon)
+                         .value();
+  EXPECT_TRUE(SolveForExpectedRemaining(p, lambdas, actions, 1.0, {}, &other)
+                  .status()
+                  .IsInvalidArgument());
+  const auto own =
+      DeadlineTables::Build(lambdas, actions, p.truncation_epsilon).value();
+  const auto via_own =
+      SolveForExpectedRemaining(p, lambdas, actions, 1.0, {}, &own).value();
+  const auto built = SolveForExpectedRemaining(p, lambdas, actions, 1.0).value();
+  EXPECT_EQ(via_own.penalty_used, built.penalty_used);
+  EXPECT_EQ(SerializePlan(via_own.plan), SerializePlan(built.plan));
 }
 
 TEST(PenaltySearchTest, MeetsBound) {

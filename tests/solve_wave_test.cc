@@ -1,11 +1,13 @@
 // SolveWave tests: batched solving over the SolverPool farm is
 // bit-identical to sequential Engine::Solve (Serialize() equality), for
 // any pool size; mixed-kind waves keep spec order with per-slot errors;
-// coinciding rate profiles share pmf blocks through the wave's cache; and
-// evaluate=true precomputes the same nominal evaluation Evaluate() would.
+// coinciding rate profiles share one table set, built once through the
+// wave's cache; and evaluate=true precomputes the same nominal evaluation
+// Evaluate() would.
 
 #include "engine/solve_wave.h"
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -46,6 +48,17 @@ std::vector<PolicySpec> MixedWave() {
     // Two distinct profiles, three campaigns each; tasks vary per campaign.
     specs.push_back(DeadlineSpec(15 + i, i % 2 == 0 ? 1400.0 : 2100.0));
   }
+  // One more profile repeated at other sizes and penalties, on either
+  // algorithm, plus a bound-mode campaign whose penalty search runs over
+  // the same grid.
+  for (int i = 0; i < 3; ++i) {
+    DeadlineDpSpec spec = DeadlineSpec(10 + 7 * i, 1750.0, 60.0 + 90.0 * i);
+    if (i == 1) spec.algorithm = DeadlineDpSpec::Algorithm::kSimple;
+    specs.push_back(spec);
+  }
+  DeadlineDpSpec bounded = DeadlineSpec(24, 1750.0);
+  bounded.expected_remaining_bound = 0.5;
+  specs.push_back(bounded);
   FixedPriceSpec fixed;
   fixed.num_tasks = 20;
   fixed.interval_lambdas.assign(6, 1500.0);
@@ -101,10 +114,16 @@ TEST(SolveWaveTest, CoincidingProfilesSharePmfBlocks) {
   auto results = SolveWave(specs, options);
   for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status();
   const kernel::PmfArena::Stats stats = cache.stats();
-  EXPECT_GT(stats.blocks_built, 0);
-  // Four campaigns on one rate profile: every solve after the first adopts
-  // the first one's blocks instead of rebuilding them.
-  EXPECT_GT(stats.blocks_shared, 0);
+  // Four campaigns on one rate profile share one grid: the wave builds its
+  // tables once, requesting each distinct rate's block from the cache
+  // exactly once, and every campaign solves over them.
+  std::set<double> rates;
+  for (const pricing::PricingAction& a :
+       specs[0].get<DeadlineDpSpec>().actions->actions()) {
+    rates.insert(1700.0 * a.acceptance);
+  }
+  EXPECT_EQ(stats.blocks_built, static_cast<int64_t>(rates.size()));
+  EXPECT_EQ(stats.blocks_shared, 0);
   EXPECT_GT(cache.resident_bytes(), 0u);
 }
 
@@ -122,6 +141,35 @@ TEST(SolveWaveTest, PerSlotErrorsNeverPoisonTheWave) {
   EXPECT_TRUE(results[0].ok()) << results[0].status();
   EXPECT_TRUE(results[1].status().IsInvalidArgument());
   EXPECT_TRUE(results[2].ok()) << results[2].status();
+}
+
+TEST(SolveWaveTest, FailedGridBuildGivesEachCampaignItsSequentialError) {
+  // Two campaigns on a grid whose tables cannot be built, and one whose
+  // grid is fine but whose problem is not: every slot fails exactly as
+  // sequential Engine::Solve does.
+  std::vector<PolicySpec> specs;
+  for (int n : {12, 14}) {
+    DeadlineDpSpec bad_rates = DeadlineSpec(n, 1400.0);
+    bad_rates.interval_lambdas[2] = -5.0;
+    specs.push_back(bad_rates);
+  }
+  DeadlineDpSpec bad_problem = DeadlineSpec(0, 1400.0);
+  specs.push_back(bad_problem);
+  specs.push_back(DeadlineSpec(16, 1400.0));
+
+  SolverPool pool(2);
+  SolveWaveOptions options;
+  options.pool = &pool;
+  auto results = SolveWave(specs, options);
+  ASSERT_EQ(results.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    auto sequential = Engine::Solve(specs[i]);
+    EXPECT_EQ(results[i].status().ToString(), sequential.status().ToString())
+        << "slot " << i;
+  }
+  EXPECT_FALSE(results[0].ok());
+  EXPECT_FALSE(results[2].ok());
+  EXPECT_TRUE(results[3].ok()) << results[3].status();
 }
 
 TEST(SolveWaveTest, EvaluateFlagPrecomputesNominalEvaluation) {

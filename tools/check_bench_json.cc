@@ -29,8 +29,11 @@
 // on smaller hosts, and collapse-only (0.5x) for --smoke records, whose
 // sizes are too small to time scaling honestly.
 //
-// The fleet_solve record carries two gates, both mirroring the bench's own
-// checks. (1) eval_batched_speedup >= 3 on full records (the win over the
+// The fleet_solve record carries three gates, all mirroring the bench's own
+// checks. (0) share_blocks_built == share_distinct_rates and
+// share_blocks_shared == 0: the wave builds each rate profile's pmf tables
+// once through the cache, so it must request each distinct rate exactly
+// once. (1) eval_batched_speedup >= 3 on full records (the win over the
 // pre-kernel per-campaign evaluator is algorithmic -- shared pmf blocks
 // plus kernel layer scans -- so it holds on any core count); smoke waves
 // are too small to amortize and only gate against being slower (>= 0.5).
@@ -347,7 +350,7 @@ const std::vector<BenchRequirements>& KnownBenches() {
        {"wave_seconds", "sequential_solve_seconds", "eval_sequential_seconds",
         "eval_batched_seconds", "eval_batched_speedup", "decide_p99_quiet_ms",
         "decide_p99_storm_ms", "decide_p99_storm_over_quiet",
-        "share_blocks_built", "share_blocks_shared"},
+        "share_blocks_built", "share_blocks_shared", "share_distinct_rates"},
        {"waves_per_sec_threads_"}},
   };
   return known;
@@ -468,7 +471,8 @@ bool ValidateRouterOverhead(const JsonObject& params,
 bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
                         std::string& error) {
   double hw_threads = 0.0, smoke = 0.0;
-  double eval_speedup = 0.0, ratio = 0.0, storm_ms = 0.0, shared = 0.0;
+  double eval_speedup = 0.0, ratio = 0.0, storm_ms = 0.0;
+  double built = 0.0, shared = 0.0, distinct = 0.0;
   if (!RequireNumber(params, "param", "hw_threads", hw_threads, error) ||
       !RequireNumber(params, "param", "smoke", smoke, error) ||
       !RequireNumber(metrics, "metric", "eval_batched_speedup", eval_speedup,
@@ -477,15 +481,21 @@ bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
                      error) ||
       !RequireNumber(metrics, "metric", "decide_p99_storm_ms", storm_ms,
                      error) ||
+      !RequireNumber(metrics, "metric", "share_blocks_built", built,
+                     error) ||
       !RequireNumber(metrics, "metric", "share_blocks_shared", shared,
+                     error) ||
+      !RequireNumber(metrics, "metric", "share_distinct_rates", distinct,
                      error)) {
     return false;
   }
   const bool is_smoke = smoke != 0.0;
-  if (shared <= 0.0) {
-    error = "share_blocks_shared must be positive: a wave stamped from "
-            "repeated rate profiles that shares nothing means the pmf share "
-            "cache is broken";
+  if (built != distinct || shared != 0.0) {
+    error = "pmf table gate: share_blocks_built (" + std::to_string(built) +
+            ") must equal share_distinct_rates (" + std::to_string(distinct) +
+            ") with share_blocks_shared (" + std::to_string(shared) +
+            ") 0: a wave builds each rate grid's tables once, so any other "
+            "count means campaigns rebuilt or re-requested them";
     return false;
   }
   const double eval_floor = is_smoke ? 0.5 : 3.0;
