@@ -10,7 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -64,21 +63,6 @@ void BM_MakeTruncatedPoisson(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakeTruncatedPoisson)->Arg(5)->Arg(50)->Arg(500);
-
-void BM_TruncatedPoissonCache(benchmark::State& state) {
-  // The DP's access pattern: 51 rates queried once per layer, 24 layers.
-  auto acceptance = choice::LogitAcceptance::Paper2014();
-  for (auto _ : state) {
-    stats::TruncatedPoissonCache cache(1e-9);
-    for (int t = 0; t < 24; ++t) {
-      for (int c = 0; c <= 50; ++c) {
-        benchmark::DoNotOptimize(
-            cache.Get(6100.0 * acceptance.ProbabilityAt(c)));
-      }
-    }
-  }
-}
-BENCHMARK(BM_TruncatedPoissonCache)->Unit(benchmark::kMillisecond);
 
 void BM_SamplePoisson(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0)) / 10.0;
@@ -207,8 +191,8 @@ BENCHMARK(BM_NhppSampling)->Unit(benchmark::kMillisecond);
 // Per-backend layer-scan headline: one dense DP layer (the paper-scale
 // N=2000, 51-action price grid) scanned by every registered
 // LayerScanKernel backend, persisted as BENCH_kernel_backends.json with
-// each backend's seconds-per-layer and speedup over scalar. The argmin
-// rows must agree across backends (costs may differ at ~1e-12).
+// each backend's seconds-per-layer and speedup over scalar. Every backend
+// must reproduce the scalar rows bit for bit (costs and argmins).
 void RunKernelBackendsHeadline() {
   const int n = bench::SmokeN(2000, 300);
   const int repeats = bench::Smoke() ? 3 : 10;
@@ -249,6 +233,7 @@ void RunKernelBackendsHeadline() {
                     .Param("repeats", repeats)
                     .Label("policy_source", "kernel::LayerScanKernel");
   double scalar_seconds = 0.0;
+  std::vector<double> scalar_costs;
   std::vector<int32_t> scalar_actions;
   std::string backends_label;
   for (const std::string& name : kernel::KernelRegistry::Global().Available()) {
@@ -266,11 +251,11 @@ void RunKernelBackendsHeadline() {
     }
     if (name == "scalar") {
       scalar_seconds = best_seconds;
-      scalar_actions.assign(action_row.begin(), action_row.end());
-    } else if (!scalar_actions.empty() &&
-               !std::equal(scalar_actions.begin(), scalar_actions.end(),
-                           action_row.begin())) {
-      std::printf("kernel backend %s DISAGREES with scalar argmin (BUG)\n",
+      scalar_costs = opt_row;
+      scalar_actions = action_row;
+    } else if (!scalar_actions.empty() && (scalar_costs != opt_row ||
+                                           scalar_actions != action_row)) {
+      std::printf("kernel backend %s DISAGREES with scalar rows (BUG)\n",
                   name.c_str());
       std::exit(3);
     }

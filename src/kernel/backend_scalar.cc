@@ -1,8 +1,9 @@
-// Portable scalar backend. Its per-term arithmetic is the historical
-// hand-rolled solver loop, unchanged (detail::LegacyEvalAction), so plans
-// solved with this backend are bit-identical to pre-kernel-layer solves on
-// every platform -- the anchor the SIMD parity suite and dp_equivalence
-// measure against.
+// Portable scalar backend: the fused bodies of kernel/eval_detail.h run
+// one state at a time. Every SIMD lane reproduces the same operation
+// sequence, so this backend's plans and evaluations are bit-identical to
+// every other backend's.
+
+#include <cmath>
 
 #include "kernel/eval_detail.h"
 #include "kernel/layer_scan.h"
@@ -20,7 +21,7 @@ class ScalarKernel final : public LayerScanKernel {
                  int32_t* action_row) const override {
     for (int n = n_lo; n <= n_hi; ++n) {
       const BestAction best =
-          detail::BestOverActions(detail::LegacyEvalAction, layer, n, 0,
+          detail::BestOverActions(detail::FusedEvalAction, layer, n, 0,
                                   layer.num_actions - 1, opt_next);
       opt_row[n] = best.cost;
       action_row[n] = best.index;
@@ -29,19 +30,14 @@ class ScalarKernel final : public LayerScanKernel {
 
   BestAction ScanState(const LayerTables& layer, int n, int a_lo, int a_hi,
                        const double* opt_next) const override {
-    return detail::BestOverActions(detail::LegacyEvalAction, layer, n, a_lo,
+    return detail::BestOverActions(detail::FusedEvalAction, layer, n, a_lo,
                                    a_hi, opt_next);
   }
 
   void CollapseCorrelate(const PmfView& view, const double* x, int m,
                          double* y) const override {
     for (int n = 0; n <= m; ++n) {
-      const int kn = std::min(n, view.len);
-      double acc = 0.0;
-      for (int d = 0; d < kn; ++d) {
-        acc += view.pmf[d] * x[n - d];
-      }
-      y[n] = acc + std::max(0.0, 1.0 - view.prefix_mass[kn]) * x[0];
+      y[n] = detail::FusedCollapseAt(view, x, n);
     }
   }
 
@@ -53,16 +49,16 @@ class ScalarKernel final : public LayerScanKernel {
       const double mass = dist[n];
       if (mass <= 0.0) continue;
       const int a = action_row[n];
-      cost = detail::LegacyEvaluateState(layer.arena->View(layer.tables[a]),
-                                         layer.costs[a], layer.bundles[a], n,
-                                         mass, next, cost);
+      cost = detail::FusedEvaluateState(layer.arena->View(layer.tables[a]),
+                                        layer.costs[a], layer.bundles[a], n,
+                                        mass, next, cost);
     }
     return cost;
   }
 
   void Axpy(double a, const double* x, double* y, int m) const override {
     for (int i = 0; i < m; ++i) {
-      y[i] += a * x[i];
+      y[i] = std::fma(a, x[i], y[i]);
     }
   }
 

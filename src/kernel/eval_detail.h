@@ -1,23 +1,13 @@
 // Shared per-(state, action) evaluation bodies for the kernel backends.
 //
-// Two arithmetic flavors exist, and the distinction is load-bearing:
-//
-//  * Legacy*: term-by-term `cost += p * (c*d + opt_next[n-d])` exactly as
-//    the historical hand-rolled solver loops wrote it. The scalar backend
-//    uses these, which is what keeps scalar plans bit-identical across the
-//    kernel-layer refactor.
-//
-//  * Fused*: the prefix-sum + fma formulation
-//        cost = fma(c*b, S1[kn], sum_k fma(pmf[k], opt_next[n-k*b], .))
-//             + fma(max(0, 1-S0[kn]), c*n, .)
-//    whose per-lane operation sequence the SIMD backends reproduce with
-//    vector fmas. Any scalar use of these (vector remainders, bundled
-//    actions, ScanState) is therefore bit-identical to the corresponding
-//    SIMD lane, which is what makes Algorithm 1 and Algorithm 2 agree
-//    bit-for-bit under a SIMD backend. std::fma is correctly rounded, the
-//    same rounding as one vfmadd/fmadd lane.
-//
-// Backends must not mix flavors within themselves.
+// The kernel has one arithmetic: the prefix-sum + fma formulation
+//     cost = fma(c*b, S1[kn], sum_k fma(pmf[k], opt_next[n-k*b], .))
+//          + fma(max(0, 1-S0[kn]), c*n, .)
+// The scalar backend runs these bodies as written, and each SIMD lane
+// performs exactly the same operation sequence with vector fmas, so every
+// backend -- and Algorithm 1 and Algorithm 2 under any backend -- agrees
+// bit for bit. std::fma is correctly rounded, the same rounding as one
+// vfmadd/fmadd lane.
 
 #ifndef CROWDPRICE_KERNEL_EVAL_DETAIL_H_
 #define CROWDPRICE_KERNEL_EVAL_DETAIL_H_
@@ -38,28 +28,7 @@ inline int NumInRangeTerms(int n, int bundle, int len) {
   return static_cast<int>(std::min<long long>(kn, len));
 }
 
-/// Historical arithmetic (see file comment). Bit-identical to the
-/// pre-kernel EvaluateAction in pricing/deadline_dp.cc.
-inline double LegacyEvalAction(const LayerTables& layer, int a, int n,
-                               const double* opt_next) {
-  const PmfView v = layer.arena->View(layer.tables[a]);
-  const double c = layer.costs[a];
-  const int bundle = layer.bundles[a];
-  double cost = 0.0;
-  double cum = 0.0;
-  for (int k = 0; k < v.len; ++k) {
-    const long long d_ll = static_cast<long long>(k) * bundle;
-    if (d_ll >= n) break;
-    const int d = static_cast<int>(d_ll);
-    const double p = v.pmf[k];
-    cost += p * (c * d + opt_next[n - d]);
-    cum += p;
-  }
-  cost += std::max(0.0, 1.0 - cum) * c * n;
-  return cost;
-}
-
-/// Fused arithmetic on a resolved view (see file comment).
+/// One (state, action) cost on a resolved view (see file comment).
 inline double FusedEvalState(const PmfView& v, double c, int bundle, int n,
                              const double* opt_next) {
   const int kn = NumInRangeTerms(n, bundle, v.len);
@@ -79,34 +48,11 @@ inline double FusedEvalAction(const LayerTables& layer, int a, int n,
                         layer.bundles[a], n, opt_next);
 }
 
-/// One evaluation forward-pass state, historical arithmetic: exactly the
-/// per-state loop the pre-kernel EvaluatePolicy ran -- term-by-term mass
-/// scatter, per-term cost accrual, cum-based finish lump. Bit-identical to
-/// the historical evaluator given the same running `cost`.
-inline double LegacyEvaluateState(const PmfView& v, double c, int bundle,
-                                  int n, double mass, double* next,
-                                  double cost) {
-  double cum = 0.0;
-  for (int k = 0; k < v.len; ++k) {
-    const long long d_ll = static_cast<long long>(k) * bundle;
-    if (d_ll >= n) break;
-    const int d = static_cast<int>(d_ll);
-    const double p = v.pmf[k];
-    next[n - d] += mass * p;
-    cost += mass * p * c * d;
-    cum += p;
-  }
-  const double finish = std::max(0.0, 1.0 - cum);
-  next[0] += mass * finish;
-  cost += mass * finish * c * static_cast<double>(n);
-  return cost;
-}
-
-/// One evaluation forward-pass state, fused flavor: fma mass scatter plus
-/// prefix-sum cost (cost over in-range terms collapses to
-/// mass*c*b*S1[kn]). The SIMD backends' bundle==1 vector scatter performs
-/// these exact per-term fmas (each term independent, no reduction chain),
-/// so their EvaluateLayer is bit-identical to this body.
+/// One evaluation forward-pass state: fma mass scatter plus prefix-sum
+/// cost (cost over in-range terms collapses to mass*c*b*S1[kn]). The SIMD
+/// backends' bundle==1 vector scatter performs these exact per-term fmas
+/// (each term independent, no reduction chain), so their EvaluateLayer is
+/// bit-identical to this body.
 inline double FusedEvaluateState(const PmfView& v, double c, int bundle,
                                  int n, double mass, double* next,
                                  double cost) {
@@ -123,7 +69,7 @@ inline double FusedEvaluateState(const PmfView& v, double c, int bundle,
 }
 
 /// The collapsed-transition value at one output position (the scalar body
-/// of CollapseCorrelate), fused flavor.
+/// of CollapseCorrelate).
 inline double FusedCollapseAt(const PmfView& v, const double* x, int n) {
   const int kn = std::min(n, v.len);
   double acc = 0.0;

@@ -10,26 +10,26 @@
 // per (n, a), a kernel evaluates a whole layer (ScanLayer), one state's
 // action bracket (ScanState -- Algorithm 2's inner search), or the joint
 // DP's collapsed transition rows (CollapseCorrelate / Axpy / MinCombine)
-// per call, over tables packed in a PmfArena.
+// per call, over tables indexed by a PmfArena.
 //
-// Backends and dispatch. Three backends ship: "scalar" (portable; its
-// per-term arithmetic is bit-identical to the historical hand-rolled
-// loops, so scalar plans never drift across refactors), "avx2" (x86 FMA,
-// states evaluated four per vector) and "neon" (aarch64, two per vector).
+// Backends and dispatch. Three backends ship: "scalar" (portable, one
+// state at a time), "avx2" (x86 FMA, states evaluated four per vector) and
+// "neon" (aarch64, two per vector).
 // KernelRegistry::Global() registers whatever the host supports -- probed
 // via cpu feature detection at startup -- and resolves the empty name to
 // the $CROWDPRICE_KERNEL override or the fastest registered backend, so
 // tests and benches can force any backend per solve.
 //
 // Contract every backend must honor:
-//  * Within one backend, ScanLayer and ScanState evaluate a given (n, a)
-//    with bit-identical arithmetic. Algorithm 1 (dense scans) and
-//    Algorithm 2 (bracketed scans) then produce bit-identical plans under
-//    any backend, which dp_equivalence_test asserts per backend.
+//  * Every entry point computes each output with the one fused arithmetic
+//    of kernel/eval_detail.h, operation for operation, so all backends
+//    return bit-identical results (the kernel parity suites assert
+//    equality, not closeness). In particular ScanLayer and ScanState
+//    evaluate a given (n, a) identically, so Algorithm 1 (dense scans) and
+//    Algorithm 2 (bracketed scans) produce bit-identical plans, and a plan
+//    does not depend on which backend solved it.
 //  * Ties in cost go to the lowest action index, and the first action of a
 //    scan always beats "no action", matching the historical solver.
-//  * SIMD backends agree with "scalar" to ~1e-12 relative and pick the
-//    same argmin away from exact ties (the kernel parity suite).
 
 #ifndef CROWDPRICE_KERNEL_LAYER_SCAN_H_
 #define CROWDPRICE_KERNEL_LAYER_SCAN_H_
@@ -100,14 +100,14 @@ class LayerScanKernel {
   /// skipped and may carry -1): in-range completions k*b < n move mass to
   /// next[n - k*b] and accrue cost c*k*b, the lumped remainder finishes all
   /// n tasks into next[0] at cost c*n. Returns `cost` advanced by the
-  /// layer's accrued expected cost -- threading one running accumulator
-  /// through the calls preserves the historical summation order, which the
-  /// scalar backend keeps bit-exact (SIMD within ~1e-12).
+  /// layer's accrued expected cost; threading one running accumulator
+  /// through the calls fixes the summation order, so every backend returns
+  /// the same bits.
   virtual double EvaluateLayer(const LayerTables& layer,
                                const int32_t* action_row, const double* dist,
                                int n_hi, double* next, double cost) const = 0;
 
-  /// y[i] += a * x[i] for i in [0, m).
+  /// y[i] = fma(a, x[i], y[i]) for i in [0, m).
   virtual void Axpy(double a, const double* x, double* y, int m) const = 0;
 
   /// Elementwise argmin update: for i in [0, m), with

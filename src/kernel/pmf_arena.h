@@ -1,41 +1,27 @@
-// PmfArena: every truncated-Poisson table of one solve packed into a single
-// contiguous, 64-byte-aligned structure-of-arrays block.
+// PmfArena: the deduplicated truncated-Poisson tables of one solve.
 //
-// The DP inner loops are dot products over truncated pmf tables. Before the
-// kernel layer each table was a free-floating std::vector owned by a cache;
-// the arena instead lays all of a solve's tables out back-to-back -- for
-// each table the raw pmf, then its prefix mass S0[k] = sum_{j<k} pmf[j],
-// then the first-moment prefix S1[k] = sum_{j<k} j*pmf[j] -- with every
-// array starting on a 64-byte boundary:
-//
-//   | pmf_0 ... | S0_0 ...... | S1_0 ...... | pmf_1 ... | S0_1 ... | ...
-//   ^64         ^64           ^64           ^64
-//
-// The prefix arrays let a kernel evaluate the paper's Eq. (1) transition at
+// The DP inner loops are dot products over truncated pmf tables. Each
+// distinct table is one refcounted kernel::PmfBlock (kernel/pmf_cache.h):
+// the raw pmf, its prefix mass S0[k] = sum_{j<k} pmf[j] and first-moment
+// prefix S1[k] = sum_{j<k} j*pmf[j], every array 64-byte aligned. The
+// prefix arrays let a kernel evaluate the paper's Eq. (1) transition at
 // any remaining count n without walking the tail: the expected payout is
 // c*b*S1[kn] and the lumped "batch finishes this interval" mass is
 // 1 - S0[kn], kn the number of in-range terms.
 //
-// Rates are deduplicated with stats::QuantizedRateKey, so near-equal rates
-// from arrival-trace arithmetic -- and exact repeats from constant or
-// periodic traces -- share one table. Views stay valid for the arena's
-// lifetime; the arena is immutable after Build.
-//
-// Two extensions serve the evaluators and the solve farm:
-//  * Dedup::kExactRate restricts in-build sharing to exact bit repeats,
-//    which makes every table bit-identical to a fresh per-rate build --
-//    the policy evaluators use it so the kernelized forward pass matches
-//    the historical per-interval table construction bit-for-bit.
-//  * A PmfShareCache (kernel/pmf_cache.h) lets arenas adopt blocks built
-//    by earlier solves: tables then live in refcounted per-table blocks
-//    instead of one contiguous allocation. Cache keys are exact rate
-//    bits, so adoption never changes a solve's numbers.
+// The arena itself is a dedup index over those blocks. Rates are keyed with
+// stats::QuantizedRateKey, so near-equal rates from arrival-trace
+// arithmetic -- and exact repeats from constant or periodic traces -- share
+// one table, built at the first occurrence's exact rate. With a
+// PmfShareCache, blocks are adopted from (or built into) the cache, so a
+// solve farm builds each table once across solves; cache keys are exact
+// rate bits, so adoption never changes a solve's numbers. Views stay valid
+// for the arena's lifetime; the arena is immutable after Build.
 
 #ifndef CROWDPRICE_KERNEL_PMF_ARENA_H_
 #define CROWDPRICE_KERNEL_PMF_ARENA_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -65,50 +51,33 @@ class PmfArena {
     int64_t blocks_shared = 0;  ///< Requests served by an existing block.
   };
 
-  /// In-build request dedup policy.
-  enum class Dedup {
-    /// Requests sharing a stats::QuantizedRateKey resolve to one table,
-    /// built at the first occurrence's exact rate (the solver default:
-    /// near-equal trace rates collapse).
-    kQuantizedRate,
-    /// Only exact bit repeats share; every table is bit-identical to a
-    /// fresh build at its own rate (the evaluator mode).
-    kExactRate,
-  };
-
-  /// Packs the tables for a sequence of rate requests (e.g. the deadline
-  /// DP's [interval][action] grid flattened interval-major). Requests with
-  /// the same quantized rate resolve to one shared table, built at the
-  /// first occurrence's exact rate (exact repeats -- the common case --
-  /// get bit-identical tables to a per-rate cache); the first occurrence
-  /// counts as a build, later ones as reuses (the solvers' cache
-  /// diagnostics). Every rate must be finite and >= 0; epsilon in (0, 1).
+  /// Resolves a sequence of rate requests (e.g. the deadline DP's
+  /// [interval][action] grid flattened interval-major) to tables. Requests
+  /// with the same quantized rate resolve to one shared table, built at the
+  /// first occurrence's exact rate (exact repeats -- the common case -- get
+  /// tables bit-identical to a per-rate build); the first occurrence counts
+  /// as a build, later ones as reuses (the solvers' cache diagnostics).
+  /// Every rate must be finite and >= 0; epsilon in (0, 1).
   ///
-  /// With a `share_cache`, each distinct table is adopted from (or built
-  /// into) the cache instead of the arena's own block; cache hits count in
-  /// the cache's Stats. Table contents are unchanged either way (exact-bit
+  /// With a `share_cache`, each distinct table comes from
+  /// PmfShareCache::GetOrBuild (hits count in the cache's Stats), else from
+  /// PmfBlock::Build. Table contents are the same either way (exact-bit
   /// cache keys), so solves are bit-identical with and without a cache.
   static Result<PmfArena> Build(const std::vector<double>& rates,
                                 double epsilon,
-                                Dedup dedup = Dedup::kQuantizedRate,
                                 PmfShareCache* share_cache = nullptr);
 
   /// Table id the i-th Build request resolved to.
   int TableOf(size_t request) const {
     return request_tables_[request];
   }
-  PmfView View(int table) const;
+  PmfView View(int table) const { return views_[static_cast<size_t>(table)]; }
 
-  /// True when the arena's tables live in share-cache blocks.
-  bool shared_storage() const { return !shared_.empty(); }
-
-  size_t num_tables() const { return tables_.size(); }
+  size_t num_tables() const { return blocks_.size(); }
   size_t num_requests() const { return request_tables_.size(); }
-  /// Size of the aligned block, bytes.
-  size_t bytes() const { return block_doubles_ * sizeof(double); }
-  int64_t tables_built() const { return static_cast<int64_t>(tables_.size()); }
+  int64_t tables_built() const { return static_cast<int64_t>(blocks_.size()); }
   int64_t table_reuses() const {
-    return static_cast<int64_t>(request_tables_.size() - tables_.size());
+    return static_cast<int64_t>(request_tables_.size() - blocks_.size());
   }
 
   PmfArena(PmfArena&&) = default;
@@ -117,27 +86,12 @@ class PmfArena {
   PmfArena& operator=(const PmfArena&) = delete;
 
  private:
-  struct TableMeta {
-    size_t pmf_offset = 0;  ///< Doubles into the block; S0/S1 follow.
-    size_t mass_offset = 0;
-    size_t weighted_offset = 0;
-    int len = 0;
-    double tail_mass = 0.0;
-  };
-
   PmfArena() = default;
 
-  struct FreeDeleter {
-    void operator()(double* p) const { std::free(p); }
-  };
-
-  std::unique_ptr<double, FreeDeleter> block_;
-  size_t block_doubles_ = 0;
-  std::vector<TableMeta> tables_;
+  /// One block per distinct table, and its view (the scans' hot lookup).
+  std::vector<std::shared_ptr<const PmfBlock>> blocks_;
+  std::vector<PmfView> views_;
   std::vector<int> request_tables_;
-  /// Share-cache mode only: one refcounted block per table (same indexing
-  /// as tables_); empty for contiguous-block arenas.
-  std::vector<std::shared_ptr<const PmfBlock>> shared_;
 };
 
 }  // namespace crowdprice::kernel

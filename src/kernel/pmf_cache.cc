@@ -12,8 +12,8 @@ namespace crowdprice::kernel {
 
 namespace {
 
-// Mirrors the PmfArena layout constants: every array starts on a 64-byte
-// boundary (8 doubles).
+// Every array starts on a 64-byte boundary (8 doubles), the widest vector
+// width the backends use plus one cache line.
 constexpr size_t kAlignDoubles = 8;
 
 size_t AlignUp(size_t doubles) {
@@ -31,7 +31,7 @@ Result<std::shared_ptr<const PmfBlock>> PmfBlock::Build(double rate,
   CP_ASSIGN_OR_RETURN(stats::TruncatedPoisson tp,
                       stats::MakeTruncatedPoisson(rate, epsilon));
   const int len = std::max(static_cast<int>(tp.pmf.size()), 1);
-  // pmf | S0 | S1, each 64-byte aligned -- the PmfArena table layout.
+  // pmf | S0 | S1, each 64-byte aligned.
   size_t offset = AlignUp(static_cast<size_t>(len));
   const size_t mass_offset = offset;
   offset = AlignUp(offset + static_cast<size_t>(len) + 1);

@@ -3,10 +3,9 @@
 // A solve farm re-prices thousands of campaigns per wave, and fleets are
 // built from a handful of rate profiles: most solves request pmf tables at
 // rates some earlier solve already built. The cache maps
-// (exact rate bits, truncation-epsilon bits) to a refcounted, 64-byte
-// aligned block holding the table's pmf and its S0/S1 prefixes -- the same
-// layout a PmfArena table has -- so PmfArena::Build can adopt an existing
-// block instead of rebuilding it.
+// (exact rate bits, truncation-epsilon bits) to a refcounted PmfBlock --
+// the one table layout every PmfArena holds -- so PmfArena::Build can adopt
+// an existing block instead of rebuilding it.
 //
 // Keys are the EXACT bit pattern of the rate each block was built at, not
 // the quantized dedup key. That is what keeps wave solves bit-identical to
@@ -38,12 +37,13 @@
 
 namespace crowdprice::kernel {
 
-/// One shared truncated-Poisson table: pmf, S0 and S1 prefixes in a single
-/// 64-byte-aligned allocation, immutable after Build.
+/// One truncated-Poisson table: pmf, S0 and S1 prefixes in a single
+/// 64-byte-aligned allocation, immutable after Build. The only code that
+/// lays out pmf tables; every PmfArena table is one of these.
 class PmfBlock {
  public:
-  /// Builds the block for `rate` (finite, >= 0) at truncation `epsilon`,
-  /// bit-identical to the table a PmfArena would lay out for that rate.
+  /// Builds the block for `rate` (finite, >= 0) at truncation `epsilon`;
+  /// the pmf is stats::MakeTruncatedPoisson's table, bit for bit.
   static Result<std::shared_ptr<const PmfBlock>> Build(double rate,
                                                        double epsilon);
 

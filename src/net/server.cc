@@ -767,8 +767,12 @@ Status PricingServer::Stop() {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Phase 3: tear the loop down.
-  impl_->shutdown.store(true, std::memory_order_release);
+  // Phase 3: tear the loop down. The flag is set under work_mu so a worker
+  // between its predicate check and its wait cannot miss the notify.
+  {
+    std::lock_guard<std::mutex> lock(impl_->work_mu);
+    impl_->shutdown.store(true, std::memory_order_release);
+  }
   impl_->Wake();
   impl_->work_cv.notify_all();
   impl_->loop_thread.join();

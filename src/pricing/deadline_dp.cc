@@ -115,9 +115,7 @@ Result<DeadlineTables> DeadlineTables::Build(
   }
   CP_ASSIGN_OR_RETURN(
       kernel::PmfArena arena,
-      kernel::PmfArena::Build(rates, truncation_epsilon,
-                              kernel::PmfArena::Dedup::kQuantizedRate,
-                              share_cache));
+      kernel::PmfArena::Build(rates, truncation_epsilon, share_cache));
   DeadlineTables out;
   out.table_ids_.reserve(rates.size());
   for (size_t i = 0; i < rates.size(); ++i) {

@@ -62,12 +62,12 @@ struct DpOptions {
   /// "neon", ...). Empty selects the $CROWDPRICE_KERNEL override when set,
   /// else the fastest backend the host supports; unknown names fail the
   /// solve. The plan's kernel_backend field records what actually ran.
-  /// "scalar" plans are bit-identical on every platform; SIMD plans agree
-  /// to ~1e-12 and pick the same actions away from exact cost ties.
+  /// Every backend runs the same fused arithmetic, so the plan is
+  /// bit-identical whichever backend ran (see kernel/layer_scan.h).
   std::string kernel_backend;
   /// Cross-solve pmf sharing: when set, a solve that builds its own
   /// DeadlineTables adopts truncated-Poisson blocks from (and contributes
-  /// new ones to) this cache instead of building a private arena block.
+  /// new ones to) this cache instead of building private blocks.
   /// Cache keys are exact rate bits, so the produced plan is bit-identical
   /// with and without a cache (see kernel/pmf_cache.h). Unused by a solve
   /// handed prebuilt tables. Not owned; must outlive the solve. Never

@@ -72,10 +72,9 @@ bool CanReusePlanArena(const DeadlinePlan& plan,
   return true;
 }
 
-// Builds exact-rate tables for every (interval, action) pair the plan's
-// action rows mention. Exact-bit dedup keeps each table bit-identical to
-// the historical per-interval lazy build; the share cache (if any) only
-// changes where blocks live, never their contents.
+// Builds tables for every (interval, action) pair the plan's action rows
+// mention, deduplicated by quantized rate like the solver's. The share
+// cache (if any) only changes where blocks live, never their contents.
 Result<EvalTables> BuildEvalTables(const DeadlinePlan& plan,
                                    const std::vector<double>& true_lambdas,
                                    const std::vector<double>& true_probs,
@@ -101,7 +100,6 @@ Result<EvalTables> BuildEvalTables(const DeadlinePlan& plan,
   CP_ASSIGN_OR_RETURN(
       kernel::PmfArena arena,
       kernel::PmfArena::Build(rates, plan.problem().truncation_epsilon,
-                              kernel::PmfArena::Dedup::kExactRate,
                               share_cache));
   for (int& slot : out.owned_grid) {
     if (slot >= 0) slot = arena.TableOf(static_cast<size_t>(slot));
@@ -125,8 +123,7 @@ Result<PolicyEvaluation> EvaluatePolicy(const DeadlinePlan& plan,
   const int num_actions = static_cast<int>(plan.actions().size());
 
   EvalTables tables;
-  if (options.reuse_plan_arena &&
-      CanReusePlanArena(plan, true_lambdas, true_probs)) {
+  if (CanReusePlanArena(plan, true_lambdas, true_probs)) {
     tables.arena = plan.solve_arena().get();
     tables.grid = plan.arena_table_ids().data();
   } else {

@@ -11,9 +11,8 @@
 //
 // The exact evaluator propagates the full distribution over remaining tasks
 // forward through the chain, O(NT * N * s0). The per-interval body runs on
-// LayerScanKernel::EvaluateLayer over a PmfArena -- the scalar backend
-// reproduces the historical hand-rolled loop bit-exactly, SIMD backends
-// agree to ~1e-12, and a future GPU backend plugs in at the same seam.
+// LayerScanKernel::EvaluateLayer over a PmfArena -- every backend computes
+// it bit-identically, and a future GPU backend plugs in at the same seam.
 
 #ifndef CROWDPRICE_PRICING_POLICY_EVAL_H_
 #define CROWDPRICE_PRICING_POLICY_EVAL_H_
@@ -33,9 +32,8 @@ class PmfShareCache;
 
 namespace crowdprice::pricing {
 
-/// Knobs for the exact evaluators. Defaults reproduce the historical
-/// numbers (fastest backend; under a SIMD backend within ~1e-12 of the
-/// scalar anchor, which is itself bit-identical to the pre-kernel code).
+/// Knobs for the exact evaluators. Neither changes the numbers: every
+/// backend evaluates bit-identically, and the cache only shares tables.
 struct EvalOptions {
   /// LayerScanKernel backend for the forward pass; empty selects the
   /// $CROWDPRICE_KERNEL override when set, else the fastest registered.
@@ -43,13 +41,6 @@ struct EvalOptions {
   /// Cross-solve cache for freshly built evaluation tables (exact-bit
   /// keys; see kernel/pmf_cache.h). Not owned; may be null.
   kernel::PmfShareCache* share_cache = nullptr;
-  /// When the evaluation trace equals the plan's planning model and the
-  /// plan still carries its solve arena, replay over that arena instead of
-  /// rebuilding every truncated pmf (the nominal-evaluation fast path).
-  /// The solver deduplicates by quantized rate, so if distinct exact rates
-  /// shared a bucket during the solve the reused tables can differ from a
-  /// fresh build in the last ulp; set false to force the rebuild.
-  bool reuse_plan_arena = true;
 };
 
 struct PolicyEvaluation {
@@ -85,8 +76,12 @@ Result<PolicyEvaluation> EvaluatePolicyUnderMarket(
     const EvalOptions& options = {});
 
 /// Evaluates under the planning model itself (sanity: expected_objective
-/// matches plan.TotalObjective() up to truncation error). Reuses the
-/// plan's solve arena when present (see EvalOptions::reuse_plan_arena).
+/// matches plan.TotalObjective() up to truncation error). When the plan
+/// still carries its solve arena, the forward pass replays over it instead
+/// of rebuilding every truncated pmf. Both arenas dedup by quantized rate
+/// and build at the first-seen exact rate, so the two paths agree bit for
+/// bit unless distinct exact rates share a bucket and the two arenas meet
+/// them in a different order (then a table can move in the last ulp).
 Result<PolicyEvaluation> EvaluatePolicyNominal(const DeadlinePlan& plan,
                                                const EvalOptions& options = {});
 

@@ -10,7 +10,6 @@
 #include "pricing/deadline_dp.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -113,9 +112,9 @@ TEST(DpEquivalenceTest, SimpleAndImprovedAgreeOnRandomInstancesPerBackend) {
   }
 }
 
-// SIMD backends agree with scalar within tolerance and pick the same
-// actions on the reference instances (away from exact cost ties).
-TEST(DpEquivalenceTest, BackendsAgreeWithScalarWithinTolerance) {
+// Every backend produces the scalar backend's plan bit for bit: same
+// actions, same Opt values (one fused arithmetic, kernel/eval_detail.h).
+TEST(DpEquivalenceTest, BackendsBitIdenticalToScalar) {
   if (kernel::KernelRegistry::Global().Available().size() < 2) {
     GTEST_SKIP() << "no SIMD backend registered on this host";
   }
@@ -136,17 +135,7 @@ TEST(DpEquivalenceTest, BackendsAgreeWithScalarWithinTolerance) {
       auto got = SolveImprovedDp(instance.problem, instance.lambdas,
                                  instance.actions, options);
       ASSERT_TRUE(got.ok()) << got.status();
-      for (int t = 0; t < want->num_intervals(); ++t) {
-        for (int n = 1; n <= want->num_tasks(); ++n) {
-          ASSERT_EQ(got->ActionIndexUnchecked(n, t),
-                    want->ActionIndexUnchecked(n, t))
-              << "argmin at (n=" << n << ", t=" << t << ")";
-          const double w = want->OptUnchecked(n, t);
-          ASSERT_NEAR(got->OptUnchecked(n, t), w,
-                      1e-12 * std::max(1.0, std::abs(w)))
-              << "Opt at (n=" << n << ", t=" << t << ")";
-        }
-      }
+      ExpectIdenticalPlans(*got, *want, "backend vs scalar");
     }
   }
 }

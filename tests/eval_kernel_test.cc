@@ -1,15 +1,15 @@
 // Evaluation kernel parity suite.
 //
-// The exact policy evaluator's per-interval body now runs on
-// LayerScanKernel::EvaluateLayer (kernel/layer_scan.h). The anchor is the
-// pre-kernel hand-rolled forward pass, reproduced verbatim below as
-// LegacyReferenceEvaluate: the scalar backend must match it BIT-EXACTLY on
-// the Fig. 9 / Fig. 10-shaped robustness fixtures (perturbed acceptance
-// curves and arrival rates), SIMD backends must agree with scalar to
-// ~1e-12, the plan-arena reuse fast path must agree with a fresh rebuild,
-// and a shared PmfShareCache must change sharing counters but never
-// numbers. Cross-kind coverage: every one of the six PolicyKinds produces
-// identical decisions under every registered backend.
+// The exact policy evaluator's per-interval body runs on
+// LayerScanKernel::EvaluateLayer (kernel/layer_scan.h). The independent
+// reference is the pre-kernel hand-rolled forward pass, reproduced verbatim
+// below as LegacyReferenceEvaluate: every backend must agree with it to
+// 1e-12 on the Fig. 9 / Fig. 10-shaped robustness fixtures (perturbed
+// acceptance curves and arrival rates) and with every other backend bit
+// for bit, the plan-arena reuse fast path must agree bit for bit with a
+// fresh rebuild, and a shared PmfShareCache must change sharing counters
+// but never numbers. Cross-kind coverage: every one of the six PolicyKinds
+// produces identical decisions under every registered backend.
 
 #include <algorithm>
 #include <cmath>
@@ -24,6 +24,7 @@
 #include "kernel/pmf_cache.h"
 #include "pricing/deadline_dp.h"
 #include "pricing/policy_eval.h"
+#include "pricing/serialization.h"
 #include "stats/poisson.h"
 #include "util/stringf.h"
 
@@ -54,8 +55,9 @@ struct Fixture {
 };
 
 // The forward pass exactly as it existed before the kernel lowering --
-// copied, not reimplemented. This is the arithmetic the scalar backend
-// promises to reproduce bit-for-bit.
+// copied, not reimplemented: term-by-term sums, no fma, no prefix tables.
+// An arithmetic independent of the kernel's, so agreement to 1e-12 checks
+// the kernel's formulation rather than restating it.
 Result<PolicyEvaluation> LegacyReferenceEvaluate(
     const DeadlinePlan& plan, const std::vector<double>& true_lambdas,
     const std::vector<double>& true_probs) {
@@ -183,7 +185,17 @@ const MarketCase kMarketCases[] = {
     {0.75, 18.0, 0.60, 1200.0},  // joint perturbation
 };
 
-TEST(EvalKernelTest, ScalarBitIdenticalToPreKernelEvaluator) {
+std::vector<std::string> AllBackends() {
+  return kernel::KernelRegistry::Global().Available();
+}
+
+// The plan without its solve arena (serialized plans carry none), so
+// evaluating it takes the fresh-rebuild path.
+DeadlinePlan WithoutSolveArena(const DeadlinePlan& plan) {
+  return DeserializePlan(SerializePlan(plan)).value();
+}
+
+TEST(EvalKernelTest, EveryBackendWithin1e12OfPreKernelEvaluator) {
   Fixture f = Fixture::Make();
   for (const MarketCase& mc : kMarketCases) {
     auto market = choice::LogitAcceptance::Create(mc.s, mc.b, mc.m).value();
@@ -196,17 +208,22 @@ TEST(EvalKernelTest, ScalarBitIdenticalToPreKernelEvaluator) {
 
     auto want = LegacyReferenceEvaluate(f.plan, lams, probs);
     ASSERT_TRUE(want.ok()) << want.status();
-
-    EvalOptions options;
-    options.kernel_backend = "scalar";
-    auto got = EvaluatePolicy(f.plan, lams, probs, options);
-    ASSERT_TRUE(got.ok()) << got.status();
-    ExpectBitIdentical(*got, *want);
+    for (const std::string& backend : AllBackends()) {
+      SCOPED_TRACE(backend);
+      EvalOptions options;
+      options.kernel_backend = backend;
+      auto got = EvaluatePolicy(f.plan, lams, probs, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectWithin(*got, *want, 1e-12);
+    }
   }
 }
 
-TEST(EvalKernelTest, ScalarNominalBitIdenticalOnBothArenaPaths) {
+TEST(EvalKernelTest, NominalBitIdenticalOnBothArenaPaths) {
   Fixture f = Fixture::Make(30, 8, 1100.0, 250.0);
+  ASSERT_TRUE(f.plan.solve_arena() != nullptr);
+  const DeadlinePlan rebuilt_plan = WithoutSolveArena(f.plan);
+  ASSERT_TRUE(rebuilt_plan.solve_arena() == nullptr);
   std::vector<double> probs;
   for (const auto& a : f.plan.actions().actions()) {
     probs.push_back(a.acceptance);
@@ -214,26 +231,24 @@ TEST(EvalKernelTest, ScalarNominalBitIdenticalOnBothArenaPaths) {
   auto want = LegacyReferenceEvaluate(f.plan, f.lambdas, probs);
   ASSERT_TRUE(want.ok()) << want.status();
 
-  // Fresh-rebuild path: exact-rate tables, bit-identical by construction.
-  EvalOptions rebuild;
-  rebuild.kernel_backend = "scalar";
-  rebuild.reuse_plan_arena = false;
-  auto fresh = EvaluatePolicyNominal(f.plan, rebuild);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  ExpectBitIdentical(*fresh, *want);
-
-  // Plan-arena reuse path: same numbers unless quantized dedup collided
-  // during the solve (it does not on this fixture -- the rates are well
-  // separated), so this is also exact.
-  EvalOptions reuse;
-  reuse.kernel_backend = "scalar";
-  ASSERT_TRUE(f.plan.solve_arena() != nullptr);
-  auto reused = EvaluatePolicyNominal(f.plan, reuse);
-  ASSERT_TRUE(reused.ok()) << reused.status();
-  ExpectBitIdentical(*reused, *want);
+  for (const std::string& backend : AllBackends()) {
+    SCOPED_TRACE(backend);
+    EvalOptions options;
+    options.kernel_backend = backend;
+    // Plan-arena reuse path.
+    auto reused = EvaluatePolicyNominal(f.plan, options);
+    ASSERT_TRUE(reused.ok()) << reused.status();
+    // Fresh-rebuild path: both arenas dedup by quantized rate and build at
+    // the first-seen exact rate, and this fixture's rates are well
+    // separated, so the tables and the numbers are identical.
+    auto fresh = EvaluatePolicyNominal(rebuilt_plan, options);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    ExpectBitIdentical(*fresh, *reused);
+    ExpectWithin(*reused, *want, 1e-12);
+  }
 }
 
-TEST(EvalKernelTest, BundledActionsBitIdenticalToPreKernelEvaluator) {
+TEST(EvalKernelTest, BundledActionsWithin1e12OfPreKernelEvaluator) {
   // Multi-task HIT bundles drive the d = k*b skip/break logic; solved with
   // Algorithm 1 (bundles are outside Algorithm 2's premise).
   auto acc = choice::LogitAcceptance::Paper2014();
@@ -251,26 +266,29 @@ TEST(EvalKernelTest, BundledActionsBitIdenticalToPreKernelEvaluator) {
   p.penalty_cents = 200.0;
   std::vector<double> lams(5, 3000.0);
   ActionSet actions = ActionSet::FromActions(raw).value();
-  DeadlinePlan plan = SolveSimpleDp(p, lams, actions).value();
+  const DeadlinePlan plan =
+      WithoutSolveArena(SolveSimpleDp(p, lams, actions).value());
 
   std::vector<double> probs;
   for (const auto& a : plan.actions().actions()) probs.push_back(a.acceptance);
   auto want = LegacyReferenceEvaluate(plan, lams, probs);
   ASSERT_TRUE(want.ok()) << want.status();
 
-  EvalOptions options;
-  options.kernel_backend = "scalar";
-  options.reuse_plan_arena = false;
-  auto got = EvaluatePolicy(plan, lams, probs, options);
-  ASSERT_TRUE(got.ok()) << got.status();
-  ExpectBitIdentical(*got, *want);
+  for (const std::string& backend : AllBackends()) {
+    SCOPED_TRACE(backend);
+    EvalOptions options;
+    options.kernel_backend = backend;
+    auto got = EvaluatePolicy(plan, lams, probs, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectWithin(*got, *want, 1e-12);
+  }
 }
 
-TEST(EvalKernelTest, SimdBackendsMatchScalarWithin1e12) {
+TEST(EvalKernelTest, BackendsBitIdenticalToScalar) {
   Fixture f = Fixture::Make();
-  for (const std::string& backend :
-       kernel::KernelRegistry::Global().Available()) {
+  for (const std::string& backend : AllBackends()) {
     if (backend == "scalar") continue;
+    SCOPED_TRACE(backend);
     for (const MarketCase& mc : kMarketCases) {
       auto market = choice::LogitAcceptance::Create(mc.s, mc.b, mc.m).value();
       std::vector<double> probs;
@@ -289,7 +307,7 @@ TEST(EvalKernelTest, SimdBackendsMatchScalarWithin1e12) {
       simd_options.kernel_backend = backend;
       auto simd = EvaluatePolicy(f.plan, lams, probs, simd_options);
       ASSERT_TRUE(simd.ok()) << backend << ": " << simd.status();
-      ExpectWithin(*simd, *scalar, 1e-12);
+      ExpectBitIdentical(*simd, *scalar);
     }
   }
 }
@@ -325,7 +343,7 @@ TEST(EvalKernelTest, ShareCacheChangesCountersNeverNumbers) {
 
 // Every one of the six PolicyKinds, solved under every registered backend,
 // plays identically (kinds without a kernel-backed solve are covered as
-// invariance checks; deadline evaluation additionally agrees to ~1e-12).
+// invariance checks; deadline evaluation is additionally bit-identical).
 TEST(EvalKernelTest, AllSixPolicyKindsAgreeAcrossBackends) {
   const choice::LogitAcceptance& acc = choice::LogitAcceptance::Paper2014();
   auto make_specs = [&acc](const std::string& backend) {
@@ -385,8 +403,7 @@ TEST(EvalKernelTest, AllSixPolicyKindsAgreeAcrossBackends) {
   };
 
   std::vector<engine::PolicySpec> scalar_specs = make_specs("scalar");
-  for (const std::string& backend :
-       kernel::KernelRegistry::Global().Available()) {
+  for (const std::string& backend : AllBackends()) {
     if (backend == "scalar") continue;
     std::vector<engine::PolicySpec> simd_specs = make_specs(backend);
     ASSERT_EQ(scalar_specs.size(), simd_specs.size());
@@ -420,7 +437,7 @@ TEST(EvalKernelTest, AllSixPolicyKindsAgreeAcrossBackends) {
         auto ea = EvaluatePolicyNominal(plan, scalar_eval);
         auto eb = EvaluatePolicyNominal(**b->deadline_plan(), simd_eval);
         ASSERT_TRUE(ea.ok() && eb.ok());
-        ExpectWithin(*eb, *ea, 1e-12);
+        ExpectBitIdentical(*eb, *ea);
       }
     }
   }

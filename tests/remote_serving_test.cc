@@ -141,6 +141,43 @@ TEST(RemoteServingTest, LifecycleMisuseIsStatusNotUB) {
           .IsInvalidArgument());
 }
 
+// Stop must not lose its wake-up of an idle worker: each cycle leaves
+// four workers about to block on the work queue when Stop() runs, and a
+// lost notify would hang the join.
+TEST(RemoteServingTest, StartDecideStopCyclesNeverHang) {
+  auto map = serving::CampaignShardMap::Create(2);
+  ASSERT_TRUE(map.ok());
+  ServerOptions options;
+  options.port = 0;
+  options.num_workers = 4;
+  auto server = PricingServer::Create(&map.value(), options);
+  ASSERT_TRUE(server.ok());
+
+  ASSERT_TRUE(server->Start().ok());
+  auto control = PricingClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(control.ok());
+  serving::CampaignLimits limits;
+  limits.total_tasks = 20;
+  limits.deadline_hours = 8.0;
+  const auto id = control->AdmitShared(
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact()),
+      limits);
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(server->Stop().ok());
+
+  const market::DecisionRequest request =
+      market::DecisionRequest::Single(1.0, 10);
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    ASSERT_TRUE(server->Start().ok()) << "cycle " << cycle;
+    auto client = PricingClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok()) << "cycle " << cycle;
+    const auto sheet = client->Decide(*id, request);
+    ASSERT_TRUE(sheet.ok()) << "cycle " << cycle << ": " << sheet.status();
+    EXPECT_FALSE(sheet->offers.empty());
+    ASSERT_TRUE(server->Stop().ok()) << "cycle " << cycle;
+  }
+}
+
 TEST(RemoteServingTest, StatusCodesCrossTheWireLosslessly) {
   auto map = serving::CampaignShardMap::Create(2);
   ASSERT_TRUE(map.ok());

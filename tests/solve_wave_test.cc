@@ -7,8 +7,10 @@
 
 #include "engine/solve_wave.h"
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,6 +236,13 @@ TEST(SolveWaveTest, PoolCountersBalanceAfterWaves) {
   auto results = SolveWave(specs, options);
   for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(pool.submitted(), 5);
+  // A worker counts its job after the job has delivered its result, so the
+  // last count can land just after SolveWave returns.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool.completed() < 5 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_EQ(pool.completed(), 5);
 }
 
