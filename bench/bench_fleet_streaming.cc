@@ -7,7 +7,7 @@
 // count. For every cell it reports
 //   * decides/second sustained by the event loop under that churn, and
 //   * the admit-under-traffic latency (mean + worst) of pushing a campaign
-//     into the live map while the serving pool is mid-slice.
+//     into the live map while the shard passes are mid-slice.
 // A mid-run swap + retire wave exercises the control-event path, and one
 // cell is re-checked against per-campaign serial RunSimulation started at
 // each admit time (the layer's determinism contract).

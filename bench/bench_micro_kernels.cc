@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the computational kernels: Poisson
-// machinery, the DP solvers (serial and thread-pooled), the budget hull LP,
+// machinery, the DP solvers (serial and pool-parallel), the budget hull LP,
 // and the marketplace simulator's event loop. Policies come from
 // engine::Solve like every other harness.
 //
@@ -18,6 +18,7 @@
 #include "arrival/rate_function.h"
 #include "bench_common.h"
 #include "choice/acceptance.h"
+#include "engine/solver_pool.h"
 #include "kernel/layer_scan.h"
 #include "kernel/pmf_arena.h"
 #include "market/controller.h"
@@ -26,7 +27,6 @@
 #include "stats/convex_hull.h"
 #include "stats/poisson.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace crowdprice {
 namespace {
@@ -275,13 +275,13 @@ void RunKernelBackendsHeadline() {
 }
 
 // One headline measurement outside the google-benchmark loop: the N=2000
-// deadline solve, serial vs the shared thread pool, with a bit-identity
+// deadline solve, serial vs the foreground job pool, with a bit-identity
 // check between the two plans.
 void RunDp2000Headline() {
   // Smoke mode keeps the serial-vs-parallel bit-identity check but shrinks
   // the batch; the record still lands in BENCH_micro_dp2000.json.
   const int n = bench::SmokeN(2000, 300);
-  const int hw = ThreadPool::DefaultThreads();
+  const int hw = engine::SolverPool::DefaultThreads();
   const engine::PolicyArtifact serial = bench::SolveOrDie(
       DpSpec(n, engine::DeadlineDpSpec::Algorithm::kSimple, 1), "serial DP");
   const engine::PolicyArtifact parallel = bench::SolveOrDie(

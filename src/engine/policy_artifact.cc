@@ -1,6 +1,5 @@
 #include "engine/policy_artifact.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -8,36 +7,13 @@
 #include "pricing/serialization.h"
 #include "util/macros.h"
 #include "util/stringf.h"
+#include "util/text_codec.h"
 
 namespace crowdprice::engine {
 
 namespace {
 
 constexpr char kHeader[] = "crowdprice-artifact v1";
-
-// Hex-float formatting for lossless double round trips (same convention as
-// pricing/serialization).
-std::string Hex(double v) { return StringF("%a", v); }
-
-Result<double> ParseDouble(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad number '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<long> ParseInt(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad integer '%s'", what, token.c_str()));
-  }
-  return v;
-}
 
 Result<std::string> NextLine(std::istringstream& stream, const char* what) {
   std::string line;
@@ -46,19 +22,6 @@ Result<std::string> NextLine(std::istringstream& stream, const char* what) {
         StringF("artifact truncated: expected %s", what));
   }
   return line;
-}
-
-Result<std::vector<std::string>> Tokens(const std::string& line,
-                                        size_t expected, const char* what) {
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() != expected) {
-    return Status::InvalidArgument(StringF("%s: expected %zu fields, found %zu",
-                                           what, expected, tokens.size()));
-  }
-  return tokens;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "engine/solver_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 #ifdef __linux__
@@ -21,13 +22,44 @@ void DropToBackgroundPriority() {
 
 }  // namespace
 
+/// One ParallelFor region, shared by its caller and its helper jobs. A
+/// helper registers in `active` before it takes an index; the caller, once
+/// the index stream is exhausted, waits for active == 0. A helper that
+/// registers after that finds the stream exhausted and never calls fn, so
+/// the region outlives its caller only as this (shared) bookkeeping.
+struct SolverPool::Region {
+  Region(const std::function<void(int64_t)>* fn, int64_t count)
+      : fn(fn), count(count) {}
+
+  void Drain() {
+    int64_t i;
+    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
+      (*fn)(i);
+    }
+  }
+
+  void Help() {
+    if (next.load(std::memory_order_relaxed) >= count) return;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ++active;
+    }
+    Drain();
+    std::lock_guard<std::mutex> lock(mu);
+    if (--active == 0) done_cv.notify_one();
+  }
+
+  const std::function<void(int64_t)>* const fn;
+  const int64_t count;
+  std::atomic<int64_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  int active = 0;  ///< helpers inside Drain (under mu)
+};
+
 SolverPool::SolverPool(int num_threads, bool background)
     : background_(background) {
-  int n = num_threads;
-  if (n <= 0) {
-    n = static_cast<int>(std::thread::hardware_concurrency());
-    if (n < 1) n = 1;
-  }
+  const int n = num_threads > 0 ? num_threads : DefaultThreads();
   queues_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     queues_.push_back(std::make_unique<Queue>());
@@ -49,22 +81,51 @@ SolverPool::~SolverPool() {
   }
 }
 
-void SolverPool::Submit(std::function<void()> job) {
-  size_t target;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    target = static_cast<size_t>(next_queue_++ % queues_.size());
-    ++submitted_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->jobs.push_back(std::move(job));
-  }
+void SolverPool::Push(std::function<void()> job) {
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  Queue& q = *queues_[next_queue_.fetch_add(1, std::memory_order_relaxed) %
+                      queues_.size()];
+  std::lock_guard<std::mutex> lock(q.mu);
+  q.jobs.push_back(std::move(job));
+}
+
+void SolverPool::Wake(int64_t jobs) {
   {
     std::lock_guard<std::mutex> lock(sleep_mu_);
-    ++queued_;
+    queued_ += jobs;
   }
-  work_cv_.notify_one();
+  if (jobs == 1) {
+    work_cv_.notify_one();
+  } else {
+    work_cv_.notify_all();
+  }
+}
+
+void SolverPool::Submit(std::function<void()> job) {
+  Push(std::move(job));
+  Wake(1);
+}
+
+void SolverPool::ParallelFor(int64_t count,
+                             const std::function<void(int64_t)>& fn,
+                             int max_parallelism) {
+  if (count <= 0) return;
+  int64_t helpers = std::min<int64_t>(size(), count - 1);
+  if (max_parallelism > 0) {
+    helpers = std::min<int64_t>(helpers, max_parallelism - 1);
+  }
+  if (helpers <= 0) {
+    for (int64_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  auto region = std::make_shared<Region>(&fn, count);
+  for (int64_t h = 0; h < helpers; ++h) {
+    Push([region] { region->Help(); });
+  }
+  Wake(helpers);
+  region->Drain();
+  std::unique_lock<std::mutex> lock(region->mu);
+  region->done_cv.wait(lock, [&] { return region->active == 0; });
 }
 
 bool SolverPool::PopJob(int home, std::function<void()>* job) {
@@ -90,9 +151,10 @@ bool SolverPool::PopJob(int home, std::function<void()>* job) {
   return false;
 }
 
-void SolverPool::FinishJob() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++completed_;
+void SolverPool::RunJob(std::function<void()>* job) {
+  (*job)();
+  *job = nullptr;
+  completed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SolverPool::WorkerLoop(int index) {
@@ -100,9 +162,7 @@ void SolverPool::WorkerLoop(int index) {
   std::function<void()> job;
   for (;;) {
     if (PopJob(index, &job)) {
-      job();
-      job = nullptr;
-      FinishJob();
+      RunJob(&job);
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mu_);
@@ -115,23 +175,31 @@ void SolverPool::WorkerLoop(int index) {
 bool SolverPool::TryRunOne() {
   std::function<void()> job;
   if (!PopJob(/*home=*/-1, &job)) return false;
-  job();
-  FinishJob();
+  RunJob(&job);
   return true;
 }
 
 int64_t SolverPool::submitted() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return submitted_;
+  return submitted_.load(std::memory_order_relaxed);
 }
 
 int64_t SolverPool::completed() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return completed_;
+  return completed_.load(std::memory_order_relaxed);
+}
+
+int SolverPool::DefaultThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 SolverPool& SolverPool::Shared() {
   static SolverPool* pool = new SolverPool();
+  return *pool;
+}
+
+SolverPool& SolverPool::Foreground() {
+  static SolverPool* pool =
+      new SolverPool(std::max(1, DefaultThreads() - 1), /*background=*/false);
   return *pool;
 }
 

@@ -54,9 +54,9 @@ struct Control {
 
 /// The shared event loop behind Run and RunStreaming. Global time advances
 /// one arrival bucket per slice; every shard advances its campaigns
-/// concurrently on the serving pool while the admission lane admits the
-/// slice's due campaigns into the live map (per-shard locking only -- no
-/// global barrier between serving and admission). Mid-life control events
+/// concurrently on the foreground job pool while the admission lane admits
+/// the slice's due campaigns into the live map (per-shard locking only --
+/// no global barrier between serving and admission). Mid-life control events
 /// apply at the bucket-edge barrier, where no shard task is in flight. A
 /// campaign that completes or expires on the same edge as one of its
 /// control events wins the tie: the event is skipped.

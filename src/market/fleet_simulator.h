@@ -9,7 +9,7 @@
 // tick, swap, retire on completion, deadline or event -- is exercised
 // under load) and drives all of them with one event loop: global time
 // advances one arrival-rate bucket at a time, and at each slice every
-// shard advances its campaigns concurrently on the serving pool.
+// shard advances its campaigns concurrently on the foreground job pool.
 //
 // Streaming admission: an ArrivalSchedule lists admission events (campaign
 // spec + admit time + optional mid-life SwapArtifact / retire events).

@@ -66,7 +66,7 @@ struct Conn {
 
 /// The CampaignShardMap adapter behind Create(map, ...): small batches
 /// answer inline on the handler thread (the map's wait-free read path),
-/// big ones fan out per shard on the map's serving pool.
+/// big ones fan out per shard on the foreground job pool.
 class MapSurface final : public ServingSurface {
  public:
   MapSurface(serving::CampaignShardMap* map, size_t pool_batch_threshold)
@@ -75,9 +75,8 @@ class MapSurface final : public ServingSurface {
   std::vector<serving::DecideResponse> DecideBatch(
       const std::vector<serving::DecideRequest>& requests) override {
     if (requests.size() >= pool_batch_threshold_) {
-      // Big batches fan out per shard on the map's serving pool. Pool
-      // regions serialize across concurrent callers, so this path trades
-      // cross-connection concurrency for within-batch parallelism.
+      // Big batches fan out per shard on the foreground job pool; regions
+      // from concurrent connections share its workers.
       return map_->DecideBatch(requests);
     }
     // Small batches answer inline: each lookup is the map's wait-free

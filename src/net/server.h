@@ -11,7 +11,7 @@
 //     chase with no locks -- so N connections price concurrently and a
 //     control op on one shard never stalls anyone, while batches at or
 //     above ServerOptions::pool_batch_threshold fan out per shard on the
-//     map's serving pool.
+//     foreground job pool.
 //   - Control plane: kControlRequest frames deserialize to a
 //     serving::ControlOp and funnel into ServingSurface::Apply (over a
 //     map, the same single writer surface ArrivalSchedule events use);
@@ -121,7 +121,7 @@ struct ServerOptions {
   /// tearing the loop down anyway.
   int drain_timeout_ms = 5000;
   /// Decide batches with at least this many requests are answered via
-  /// DecideBatch on the map's serving pool (per-shard fan-out); smaller
+  /// DecideBatch on the foreground job pool (per-shard fan-out); smaller
   /// batches answer inline on the handler thread, wait-free. Applies to
   /// map-backed servers only (surface-backed servers batch as they see
   /// fit).

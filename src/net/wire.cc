@@ -9,6 +9,7 @@
 #include "util/macros.h"
 #include "util/status.h"
 #include "util/stringf.h"
+#include "util/text_codec.h"
 
 namespace crowdprice::net {
 
@@ -19,10 +20,6 @@ namespace {
 /// payload length check would catch it.
 constexpr long kMaxBatchRequests = 1 << 20;
 constexpr long kMaxTaskTypes = 1 << 12;
-
-// Hex-float formatting for lossless double round trips (same idiom as
-// pricing/serialization.cc and the artifact codec).
-std::string Hex(double v) { return StringF("%a", v); }
 
 /// Line/byte reader over a payload. Unlike the plan codec's LineReader
 /// this one tracks an explicit offset, so control ops can pull a
@@ -98,26 +95,6 @@ Result<std::vector<std::string>> SplitN(const std::string& line, size_t n,
     }
   }
   return tokens;
-}
-
-Result<double> ParseDouble(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad number '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<long> ParseInt(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad integer '%s'", what, token.c_str()));
-  }
-  return v;
 }
 
 Result<uint64_t> ParseId(const std::string& token, const char* what) {

@@ -43,10 +43,11 @@ Status AdaptiveRateController::ReplanFrom(int interval) {
   for (int t = interval; t < problem_.num_intervals; ++t) {
     scaled.push_back(believed_lambdas_[static_cast<size_t>(t)] * factor_);
   }
-  Result<DeadlinePlan> solved =
-      actions_.uniform_unit_bundle()
-          ? SolveImprovedDp(sub, scaled, actions_, options_.dp_options)
-          : SolveSimpleDp(sub, scaled, actions_);
+  Result<DeadlinePlan> solved = SolveDeadlineDp(
+      sub, scaled, actions_,
+      actions_.uniform_unit_bundle() ? DpAlgorithm::kImproved
+                                     : DpAlgorithm::kSimple,
+      options_.dp_options);
   CP_RETURN_IF_ERROR(solved.status());
   plan_.emplace(std::move(solved).value());
   plan_start_ = interval;

@@ -4,15 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <optional>
 
+#include "engine/solver_pool.h"
 #include "kernel/layer_scan.h"
 #include "kernel/pmf_arena.h"
 #include "kernel/pmf_cache.h"
 #include "util/macros.h"
 #include "util/stringf.h"
-#include "util/thread_pool.h"
 
 namespace crowdprice::pricing {
 
@@ -178,15 +179,17 @@ Result<DeadlinePlan> SolveDeadlineDp(
   const bool monotone =
       algorithm == DpAlgorithm::kImproved && options.monotone_price_search;
 
+  engine::SolverPool& pool = engine::SolverPool::Foreground();
   const int requested_threads = options.num_threads > 0
                                     ? options.num_threads
-                                    : ThreadPool::DefaultThreads();
+                                    : engine::SolverPool::DefaultThreads();
   const bool parallel = requested_threads > 1 && num_tasks >= kParallelMinTasks;
   // The decomposition (chunk and range counts) follows the request so it is
   // machine-independent; actual participation is capped by the pool, and
-  // threads_used reports that honest figure.
+  // threads_used reports that honest figure. A serial solve is the same
+  // code with one chunk (one unsplit range), which ParallelFor runs inline.
   const int effective_threads =
-      std::min(requested_threads, ThreadPool::Shared().size() + 1);
+      parallel ? std::min(requested_threads, pool.size() + 1) : 1;
   std::atomic<int64_t> evals{0};
 
   // All of the solve's pmf tables in one aligned arena, built (unless the
@@ -209,97 +212,92 @@ Result<DeadlinePlan> SolveDeadlineDp(
     bundles.push_back(a.bundle);
   }
 
+  // One layer's scan state, read by the two region bodies below, which are
+  // built once per solve; each layer reassigns the state and runs one region.
+  kernel::LayerTables layer;
+  layer.arena = tables->arena().get();
+  layer.costs = costs.data();
+  layer.bundles = bundles.data();
+  layer.num_actions = num_actions;
+  const double* opt_next = nullptr;
+  double* opt_row = nullptr;
+  int32_t* action_row = nullptr;
+  const int32_t* cap_row = nullptr;
+  std::vector<MonotoneRange> ranges;
+
+  // States within a layer are independent; chunk [1, N] across the pool.
+  // Costs grow with n, so chunks are kept small for balance.
+  const int64_t chunks =
+      parallel ? std::min<int64_t>(num_tasks, requested_threads * 8L) : 1;
+  const int64_t per_chunk = (num_tasks + chunks - 1) / chunks;
+  const std::function<void(int64_t)> scan_chunk = [&](int64_t chunk) {
+    const int lo = static_cast<int>(1 + chunk * per_chunk);
+    const int hi = static_cast<int>(
+        std::min<int64_t>(num_tasks, (chunk + 1) * per_chunk));
+    if (lo > hi) return;
+    kern->ScanLayer(layer, lo, hi, opt_next, opt_row, action_row);
+    evals.fetch_add(static_cast<int64_t>(hi - lo + 1) * num_actions,
+                    std::memory_order_relaxed);
+  };
+  const std::function<void(int64_t)> scan_range = [&](int64_t i) {
+    const MonotoneRange& r = ranges[static_cast<size_t>(i)];
+    int64_t range_evals = 0;
+    SolveRangeMonotone(*kern, layer, r.n_lo, r.n_hi, r.a_lo, r.a_hi, opt_next,
+                       cap_row, opt_row, action_row, &range_evals);
+    evals.fetch_add(range_evals, std::memory_order_relaxed);
+  };
+  const size_t target_ranges =
+      parallel ? static_cast<size_t>(requested_threads) * 4 : 1;
+
   for (int t = nt - 1; t >= 0; --t) {
-    kernel::LayerTables layer;
-    layer.arena = tables->arena().get();
     layer.tables =
         tables->table_ids().data() + static_cast<size_t>(t) * num_actions;
-    layer.costs = costs.data();
-    layer.bundles = bundles.data();
-    layer.num_actions = num_actions;
     // With the layer-major arena, layer t+1 is read and layer t written in
     // place -- no per-layer copies.
-    const double* opt_next = plan.OptLayer(t + 1);
-    double* opt_row = plan.MutableOptLayer(t);
-    int32_t* action_row = plan.MutableActionLayer(t);
+    opt_next = plan.OptLayer(t + 1);
+    opt_row = plan.MutableOptLayer(t);
+    action_row = plan.MutableActionLayer(t);
     // Opt(0, t) stays 0 (initialized by the plan constructor).
     if (!monotone) {
-      if (!parallel) {
-        kern->ScanLayer(layer, 1, num_tasks, opt_next, opt_row, action_row);
-        evals.fetch_add(static_cast<int64_t>(num_tasks) * num_actions,
-                        std::memory_order_relaxed);
-      } else {
-        // States within a layer are independent; chunk [1, N] across the
-        // pool. Costs grow with n, so chunks are kept small for balance.
-        const int64_t chunks =
-            std::min<int64_t>(num_tasks, requested_threads * 8L);
-        const int64_t per_chunk = (num_tasks + chunks - 1) / chunks;
-        ThreadPool::Shared().ParallelFor(chunks, [&](int64_t chunk) {
-          const int lo = static_cast<int>(1 + chunk * per_chunk);
-          const int hi = static_cast<int>(
-              std::min<int64_t>(num_tasks, (chunk + 1) * per_chunk));
-          if (lo > hi) return;
-          kern->ScanLayer(layer, lo, hi, opt_next, opt_row, action_row);
-          evals.fetch_add(static_cast<int64_t>(hi - lo + 1) * num_actions,
-                          std::memory_order_relaxed);
-        }, effective_threads);
-      }
-    } else {
-      const int32_t* cap_row =
-          options.time_monotonicity_pruning && t < nt - 1
-              ? plan.ActionLayer(t + 1)
-              : nullptr;
-      if (!parallel) {
-        int64_t local = 0;
-        SolveRangeMonotone(*kern, layer, 1, num_tasks, 0, num_actions - 1,
-                           opt_next, cap_row, opt_row, action_row, &local);
-        evals.fetch_add(local, std::memory_order_relaxed);
-      } else {
-        // Expand the top of the recursion tree sequentially: solving a
-        // range's midpoint splits it into two independent subranges (their
-        // price brackets only depend on already-solved states), so once
-        // enough disjoint subranges exist they fan out across the pool.
-        // Each state sees exactly the bracket the sequential recursion
-        // would give it, so the plan is bit-identical to a serial solve.
-        int64_t local = 0;
-        std::vector<MonotoneRange> ranges;
-        ranges.push_back({1, num_tasks, 0, num_actions - 1});
-        const size_t target = static_cast<size_t>(requested_threads) * 4;
-        while (ranges.size() < target) {
-          size_t widest = ranges.size();
-          int widest_width = kParallelMinRange;
-          for (size_t i = 0; i < ranges.size(); ++i) {
-            if (ranges[i].width() > widest_width) {
-              widest_width = ranges[i].width();
-              widest = i;
-            }
-          }
-          if (widest == ranges.size()) break;  // everything is fine-grained
-          const MonotoneRange r = ranges[widest];
-          const int m = r.n_lo + (r.n_hi - r.n_lo) / 2;
-          const kernel::BestAction best =
-              SolveMonotoneState(*kern, layer, m, r.a_lo, r.a_hi, opt_next,
-                                 cap_row, opt_row, action_row, &local);
-          ranges[widest] = {r.n_lo, m - 1, r.a_lo, best.index};
-          ranges.push_back({m + 1, r.n_hi, best.index, r.a_hi});
-        }
-        evals.fetch_add(local, std::memory_order_relaxed);
-        ThreadPool::Shared().ParallelFor(
-            static_cast<int64_t>(ranges.size()), [&](int64_t i) {
-              const MonotoneRange& r = ranges[static_cast<size_t>(i)];
-              int64_t chunk_evals = 0;
-              SolveRangeMonotone(*kern, layer, r.n_lo, r.n_hi, r.a_lo, r.a_hi,
-                                 opt_next, cap_row, opt_row, action_row,
-                                 &chunk_evals);
-              evals.fetch_add(chunk_evals, std::memory_order_relaxed);
-            },
-            effective_threads);
-      }
+      pool.ParallelFor(chunks, scan_chunk, effective_threads);
+      continue;
     }
+    cap_row = options.time_monotonicity_pruning && t < nt - 1
+                  ? plan.ActionLayer(t + 1)
+                  : nullptr;
+    // Expand the top of the recursion tree sequentially: solving a range's
+    // midpoint splits it into two independent subranges (their price
+    // brackets only depend on already-solved states), so once enough
+    // disjoint subranges exist they fan out across the pool. Each state
+    // sees exactly the bracket the sequential recursion would give it, so
+    // the plan is bit-identical to a serial solve (one unsplit range).
+    int64_t local = 0;
+    ranges.assign(1, {1, num_tasks, 0, num_actions - 1});
+    while (ranges.size() < target_ranges) {
+      size_t widest = ranges.size();
+      int widest_width = kParallelMinRange;
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        if (ranges[i].width() > widest_width) {
+          widest_width = ranges[i].width();
+          widest = i;
+        }
+      }
+      if (widest == ranges.size()) break;  // everything is fine-grained
+      const MonotoneRange r = ranges[widest];
+      const int m = r.n_lo + (r.n_hi - r.n_lo) / 2;
+      const kernel::BestAction best =
+          SolveMonotoneState(*kern, layer, m, r.a_lo, r.a_hi, opt_next,
+                             cap_row, opt_row, action_row, &local);
+      ranges[widest] = {r.n_lo, m - 1, r.a_lo, best.index};
+      ranges.push_back({m + 1, r.n_hi, best.index, r.a_hi});
+    }
+    evals.fetch_add(local, std::memory_order_relaxed);
+    pool.ParallelFor(static_cast<int64_t>(ranges.size()), scan_range,
+                     effective_threads);
   }
 
   plan.action_evaluations = evals.load();
-  plan.threads_used = parallel ? effective_threads : 1;
+  plan.threads_used = effective_threads;
   plan.poisson_tables_built = tables->arena()->tables_built();
   plan.poisson_table_reuses = tables->arena()->table_reuses();
   plan.kernel_backend = kern->name();

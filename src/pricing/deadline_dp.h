@@ -54,7 +54,8 @@ struct DpOptions {
   bool time_monotonicity_pruning = false;
   /// Parallelism cap for the per-layer state scans. 0 picks
   /// hardware_concurrency; 1 forces a serial solve; higher values are
-  /// additionally capped by the shared pool's size (the plan's
+  /// additionally capped by the calling thread plus the foreground job
+  /// pool's workers (engine::SolverPool::Foreground(); the plan's
   /// threads_used field reports the actual figure). The produced plan is
   /// bit-identical at every thread count.
   int num_threads = 0;
@@ -136,7 +137,7 @@ Result<DeadlinePlan> SolveDeadlineDp(
 
 /// Algorithm 1. Supports any ActionSet (including bundled HIT actions).
 /// interval_lambdas must have problem.num_intervals entries, each finite
-/// and >= 0. Of `options` only num_threads applies.
+/// and >= 0. The monotone-search switches of `options` do not apply.
 Result<DeadlinePlan> SolveSimpleDp(const DeadlineProblem& problem,
                                    const std::vector<double>& interval_lambdas,
                                    const ActionSet& actions,

@@ -1,22 +1,18 @@
 #include "pricing/serialization.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "util/macros.h"
 #include "util/stringf.h"
+#include "util/text_codec.h"
 
 namespace crowdprice::pricing {
 
 namespace {
 
 constexpr char kHeader[] = "crowdprice-plan v1";
-
-// Hex-float formatting for lossless double round trips.
-std::string Hex(double v) { return StringF("%a", v); }
 
 class LineReader {
  public:
@@ -34,40 +30,6 @@ class LineReader {
  private:
   std::istringstream stream_;
 };
-
-Result<std::vector<std::string>> Tokens(const std::string& line,
-                                        size_t expected, const char* what) {
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() != expected) {
-    return Status::InvalidArgument(
-        StringF("%s: expected %zu fields, found %zu", what, expected,
-                tokens.size()));
-  }
-  return tokens;
-}
-
-Result<double> ParseDouble(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad number '%s'", what, token.c_str()));
-  }
-  return v;
-}
-
-Result<long> ParseInt(const std::string& token, const char* what) {
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StringF("%s: bad integer '%s'", what, token.c_str()));
-  }
-  return v;
-}
 
 }  // namespace
 

@@ -7,11 +7,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "engine/solver_pool.h"
 #include "serving/rcu.h"
 #include "serving/snapshot.h"
 #include "util/macros.h"
 #include "util/stringf.h"
-#include "util/thread_pool.h"
 
 namespace crowdprice::serving {
 
@@ -228,15 +228,13 @@ struct CampaignShardMap::Shard {
 };
 
 struct CampaignShardMap::Impl {
-  // ThreadPool's argument is total parallelism including the calling
-  // thread (it spawns one fewer worker), so pass the shard/core budget
-  // undecremented. Workers pin to cores: a shard's slice then keeps its
-  // index and counters hot in one core's cache across batch passes.
+  // Batch passes run on the foreground pool, one shard per index, with at
+  // most one thread per shard or core (the calling thread included).
   explicit Impl(int shard_count)
       : num_shards(shard_count),
         shards(static_cast<size_t>(shard_count)),
-        pool(std::min(shard_count, ThreadPool::DefaultThreads()),
-             /*pin_to_cores=*/true),
+        max_parallelism(
+            std::min(shard_count, engine::SolverPool::DefaultThreads())),
         snapshot_counters(std::make_shared<SnapshotCounters>()) {
     for (auto& shard : shards) shard = std::make_unique<Shard>();
   }
@@ -292,9 +290,13 @@ struct CampaignShardMap::Impl {
     return true;
   }
 
+  void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn) {
+    engine::SolverPool::Foreground().ParallelFor(count, fn, max_parallelism);
+  }
+
   int num_shards;
   std::vector<std::unique_ptr<Shard>> shards;
-  ThreadPool pool;
+  int max_parallelism;
   std::shared_ptr<SnapshotCounters> snapshot_counters;
   std::atomic<CampaignId> next_id{1};
 };
@@ -487,7 +489,7 @@ std::vector<DecideResponse> CampaignShardMap::DecideBatch(
     by_shard[static_cast<size_t>(shard_index)].push_back(i);
   }
 
-  impl_->pool.ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
+  impl_->ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
     const auto& indices = by_shard[static_cast<size_t>(shard_index)];
     if (indices.empty()) return;
     Shard& shard = *impl_->shards[static_cast<size_t>(shard_index)];
@@ -606,7 +608,7 @@ Result<BorrowedController> CampaignShardMap::BorrowController(CampaignId id) {
 }
 
 void CampaignShardMap::ParallelOverShards(const std::function<void(int)>& fn) {
-  impl_->pool.ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
+  impl_->ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
     fn(static_cast<int>(shard_index));
   });
 }
@@ -616,7 +618,7 @@ void CampaignShardMap::ParallelOverShardsWith(
   // The extra lane rides the same region as index num_shards; the pool
   // load-balances, so it overlaps whichever shard passes are still
   // running.
-  impl_->pool.ParallelFor(impl_->num_shards + 1, [&](int64_t index) {
+  impl_->ParallelFor(impl_->num_shards + 1, [&](int64_t index) {
     if (index < impl_->num_shards) {
       fn(static_cast<int>(index));
     } else {

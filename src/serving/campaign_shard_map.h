@@ -2,13 +2,14 @@
 //
 // A live marketplace runs many concurrent task batches; each one is a
 // solved policy (engine::PolicyArtifact) plus the controller playing it.
-// The shard map owns those campaigns, partitions them across a fixed
-// worker-thread pool by campaign id, and serves lookups in batches: each
-// lookup is a market::DecisionRequest answered by the campaign policy's
-// OfferSheet (one offer per task type). DecideBatch partitions a request
-// vector by shard and answers every shard's slice on its own pool thread,
-// so one call resolves sheets for hundreds of campaigns with no
-// per-request locking and no cross-shard contention.
+// The shard map owns those campaigns, partitions them across a fixed set
+// of shards by campaign id, and serves lookups in batches: each lookup is
+// a market::DecisionRequest answered by the campaign policy's OfferSheet
+// (one offer per task type). DecideBatch partitions a request vector by
+// shard and answers the shard slices in parallel on the foreground job
+// pool (engine::SolverPool::Foreground()), so one call resolves sheets
+// for hundreds of campaigns with no per-request locking and no
+// cross-shard contention.
 //
 // Lifecycle: every mutation is a ControlOp applied through Apply, the
 // map's single serializable control surface. Admit ops assign an id and
@@ -248,9 +249,9 @@ struct SnapshotStats {
 
 class CampaignShardMap {
  public:
-  /// num_shards in [1, 4096]. The map starts a worker pool of up to
-  /// min(num_shards, hardware_concurrency) threads, pinned to cores for
-  /// cache locality (batch passes use one thread per shard, so more
+  /// num_shards in [1, 4096]. Batch passes run on the foreground job pool
+  /// with up to min(num_shards, hardware_concurrency) threads, the calling
+  /// thread included (one thread per shard slice at a time, so more
   /// shards than cores just queue).
   static Result<CampaignShardMap> Create(int num_shards);
 
@@ -302,7 +303,7 @@ class CampaignShardMap {
                                     const market::DecisionRequest& request);
 
   /// Batched lookups: requests are partitioned by shard and each shard's
-  /// slice is answered on its own pool thread in one read-guarded pass --
+  /// slice is answered by one pool thread in one read-guarded pass --
   /// no locks taken, so concurrent Admit/Swap/Retire never stall the
   /// batch. Responses align with `requests` index-for-index; per-request
   /// failures (unknown campaign, controller error) land in the response
@@ -345,10 +346,10 @@ class CampaignShardMap {
   /// from exactly one shard thread).
   Result<BorrowedController> BorrowController(CampaignId id);
 
-  /// Runs fn(shard) for every shard concurrently on the serving pool. fn
-  /// runs with no map lock or read guard held, so it may call any public
-  /// method -- but NOT DecideBatch or ParallelOverShards, which would
-  /// nest a region on the same non-reentrant pool and deadlock.
+  /// Runs fn(shard) for every shard concurrently on the foreground pool.
+  /// fn runs with no map lock or read guard held, so it may call any
+  /// public method, DecideBatch and ParallelOverShards included (pool
+  /// regions nest).
   void ParallelOverShards(const std::function<void(int)>& fn);
 
   /// Same, plus one `extra` task run concurrently with the shard passes

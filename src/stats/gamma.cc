@@ -69,7 +69,12 @@ Result<double> GammaQContinuedFraction(double a, double x) {
 
 }  // namespace
 
-double LogGamma(double x) { return std::lgamma(x); }
+double LogGamma(double x) {
+  // lgamma_r, not std::lgamma: lgamma also writes the global signgam, a
+  // data race when shard passes sample Poisson draws concurrently.
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
 
 double LogFactorial(int k) {
   static constexpr int kTableSize = 256;

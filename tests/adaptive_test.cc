@@ -174,5 +174,27 @@ TEST(AdaptiveControllerTest, RejectsNonPositiveRemaining) {
   EXPECT_TRUE(test_util::SingleOffer(controller, 0.0, 0).status().IsInvalidArgument());
 }
 
+// Re-solves honour dp_options whichever solver the action set selects: an
+// unknown kernel backend fails the first Decide for a bundled action set
+// just as it does for the unit-bundle price grid.
+TEST(AdaptiveControllerTest, ReplanAppliesDpOptionsToBundledActionSets) {
+  Env s = Env::Make();
+  auto bundled = ActionSet::FromActions(
+      {{2.0, 1, 0.02}, {1.0, 2, 0.05}, {2.0 / 3.0, 3, 0.09}});
+  ASSERT_TRUE(bundled.ok()) << bundled.status();
+  ASSERT_FALSE(bundled->uniform_unit_bundle());
+  AdaptiveOptions options;
+  options.dp_options.kernel_backend = "no-such-backend";
+  for (const ActionSet& actions : {s.actions, *bundled}) {
+    auto controller = AdaptiveRateController::Create(
+        s.problem, s.believed, actions, 24.0, options);
+    ASSERT_TRUE(controller.ok()) << controller.status();
+    EXPECT_TRUE(controller->Decide(market::DecisionRequest::Single(0.0, 100))
+                    .status()
+                    .IsNotFound())
+        << "unit bundle: " << actions.uniform_unit_bundle();
+  }
+}
+
 }  // namespace
 }  // namespace crowdprice::pricing

@@ -4,7 +4,7 @@
 // is what lets SolveImprovedDp shrink its search brackets; these tests
 // check, over randomized instances, that Algorithm 1 and Algorithm 2 (with
 // and without time-monotonicity pruning) produce identical plans -- and
-// that the thread-pooled layer scans are bit-identical to a serial solve,
+// that the pool-parallel layer scans are bit-identical to a serial solve,
 // whatever the thread count.
 
 #include "pricing/deadline_dp.h"
@@ -16,9 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "choice/acceptance.h"
+#include "engine/solver_pool.h"
 #include "kernel/layer_scan.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace crowdprice::pricing {
 namespace {
@@ -173,9 +173,10 @@ TEST(DpEquivalenceTest, ParallelSolvesAreBitIdenticalToSerial) {
         auto plan = solve(parallel);
         ASSERT_TRUE(plan.ok()) << plan.status();
         // threads_used reports actual parallelism: the request capped by
-        // the shared pool (pool workers + the calling thread).
+        // the foreground pool (pool workers + the calling thread).
         EXPECT_EQ(plan->threads_used,
-                  std::min(threads, ThreadPool::Shared().size() + 1));
+                  std::min(threads,
+                           engine::SolverPool::Foreground().size() + 1));
         ExpectIdenticalPlans(*baseline, *plan,
                              monotone ? "serial vs parallel (monotone)"
                                       : "serial vs parallel (simple)");
@@ -216,26 +217,6 @@ TEST(DpEquivalenceTest, RejectsNegativeThreadCount) {
   EXPECT_TRUE(SolveSimpleDp(problem, {10.0, 10.0}, *actions, options)
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(513);
-  for (auto& h : hits) h.store(0);
-  pool.ParallelFor(513, [&](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 0);
-  int64_t sum = 0;
-  pool.ParallelFor(100, [&](int64_t i) { sum += i; });  // inline: no races
-  EXPECT_EQ(sum, 99 * 100 / 2);
 }
 
 }  // namespace
