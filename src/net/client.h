@@ -116,11 +116,10 @@ class PricingClient {
   Result<std::vector<serving::DecideResponse>> DecideBatch(
       const std::vector<serving::DecideRequest>& requests);
 
-  /// Line-splice variant of DecideBatch (the router's fast path): ships
-  /// pre-serialized request body lines verbatim and returns the response
-  /// body lines without parsing the sheets. The response count is
-  /// validated against the request count; a whole-batch error form
-  /// surfaces as that Status.
+  /// DecideBatch over wire body lines (the router's forward): ships
+  /// pre-serialized request lines verbatim and returns the response lines
+  /// without parsing the sheets. The response count is validated against
+  /// the request count; a whole-batch error form surfaces as that Status.
   Result<std::vector<std::string>> DecideBatchLines(
       const std::vector<std::string>& request_lines);
 

@@ -64,26 +64,41 @@ struct Conn {
   bool dead = false;  ///< Closed; workers must stop appending output.
 };
 
-/// The CampaignShardMap adapter behind Create(map, ...): small batches
-/// answer inline on the handler thread (the map's wait-free read path),
-/// big ones fan out per shard on the foreground job pool.
+/// Decide batches with at least this many requests fan out per shard on
+/// the foreground job pool; smaller ones answer inline on the handler
+/// thread.
+constexpr size_t kPoolBatchThreshold = 256;
+
+/// The CampaignShardMap adapter behind Create(map, ...): parses each
+/// request line, decides -- small batches inline on the handler thread
+/// (the map's wait-free read path), big ones per shard on the foreground
+/// job pool -- and serializes each answer line.
 class MapSurface final : public ServingSurface {
  public:
-  MapSurface(serving::CampaignShardMap* map, size_t pool_batch_threshold)
-      : map_(map), pool_batch_threshold_(pool_batch_threshold) {}
+  explicit MapSurface(serving::CampaignShardMap* map) : map_(map) {}
 
-  std::vector<serving::DecideResponse> DecideBatch(
-      const std::vector<serving::DecideRequest>& requests) override {
-    if (requests.size() >= pool_batch_threshold_) {
-      // Big batches fan out per shard on the foreground job pool; regions
-      // from concurrent connections share its workers.
-      return map_->DecideBatch(requests);
+  Result<std::vector<std::string>> DecideBatchLines(
+      const std::vector<std::string>& request_lines) override {
+    std::vector<serving::DecideRequest> requests;
+    requests.reserve(request_lines.size());
+    for (const std::string& line : request_lines) {
+      CP_ASSIGN_OR_RETURN(serving::DecideRequest request,
+                          ParseDecideRequestLine(line, "batch request line"));
+      requests.push_back(std::move(request));
     }
-    // Small batches answer inline: each lookup is the map's wait-free
-    // RCU read path, so every handler thread prices concurrently with
-    // all the others and with any in-flight control op.
-    std::vector<serving::DecideResponse> responses;
-    responses.reserve(requests.size());
+    std::vector<std::string> response_lines;
+    response_lines.reserve(requests.size());
+    if (requests.size() >= kPoolBatchThreshold) {
+      // Regions from concurrent connections share the pool's workers.
+      for (const serving::DecideResponse& response :
+           map_->DecideBatch(requests)) {
+        response_lines.push_back(SerializeDecideResponseLine(response));
+      }
+      return response_lines;
+    }
+    // Each lookup is the map's wait-free RCU read path, so every handler
+    // thread prices concurrently with all the others and with any
+    // in-flight control op.
     for (const serving::DecideRequest& request : requests) {
       serving::DecideResponse response;
       response.campaign_id = request.campaign_id;
@@ -94,9 +109,9 @@ class MapSurface final : public ServingSurface {
       } else {
         response.status = sheet.status();
       }
-      responses.push_back(std::move(response));
+      response_lines.push_back(SerializeDecideResponseLine(response));
     }
-    return responses;
+    return response_lines;
   }
 
   Result<serving::ControlOutcome> Apply(serving::ControlOp op) override {
@@ -110,7 +125,6 @@ class MapSurface final : public ServingSurface {
 
  private:
   serving::CampaignShardMap* map_;
-  size_t pool_batch_threshold_;
 };
 
 }  // namespace
@@ -184,28 +198,16 @@ struct PricingServer::Impl {
   // --- worker side ------------------------------------------------------
 
   std::string HandleDecideBatch(const std::string& payload) {
-    // Line-splice fast path: surfaces that can answer wire lines
-    // verbatim (the router) skip the sheet parse + re-encode entirely.
-    // Any refusal -- malformed payload, unsupported surface, wrong line
-    // count -- falls through to the parsed path and its error handling.
-    Result<std::vector<std::string>> lines =
-        SplitDecideBatchPayload(payload, "decide batch");
-    if (lines.ok()) {
-      std::vector<std::string> response_lines;
-      if (surface->DecideBatchLines(*lines, &response_lines) &&
-          response_lines.size() == lines->size()) {
-        decide_requests.fetch_add(lines->size(), std::memory_order_relaxed);
-        return JoinDecideBatchPayload(response_lines);
-      }
-    }
-    Result<std::vector<serving::DecideRequest>> requests =
-        DeserializeDecideBatchRequest(payload);
-    if (!requests.ok()) {
+    const Result<std::vector<std::string>> lines = SplitDecideBatchPayload(
+        payload, "decide batch", DecidePayload::kRequest);
+    const Result<std::vector<std::string>> answer =
+        lines.ok() ? surface->DecideBatchLines(*lines) : lines;
+    if (!answer.ok()) {
       protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return SerializeBatchError(requests.status());
+      return SerializeBatchError(answer.status());
     }
-    decide_requests.fetch_add(requests->size(), std::memory_order_relaxed);
-    return SerializeDecideBatchResponse(surface->DecideBatch(*requests));
+    decide_requests.fetch_add(answer->size(), std::memory_order_relaxed);
+    return JoinDecideBatchPayload(*answer);
   }
 
   std::string HandleControl(const std::string& payload) {
@@ -656,8 +658,7 @@ Result<PricingServer> PricingServer::Create(serving::CampaignShardMap* map,
   }
   CP_RETURN_IF_ERROR(ValidateOptions(options));
   auto impl = std::make_unique<Impl>();
-  impl->owned_surface =
-      std::make_unique<MapSurface>(map, options.pool_batch_threshold);
+  impl->owned_surface = std::make_unique<MapSurface>(map);
   impl->surface = impl->owned_surface.get();
   impl->options = options;
   CP_ASSIGN_OR_RETURN(impl->transport_factory,

@@ -4,14 +4,17 @@
 // crowdprice_serve exposes the surface's two planes over TCP (net/wire.h
 // frames):
 //
-//   - Serving plane: kDecideBatchRequest frames answer through
-//     ServingSurface::DecideBatch. Each connection's frames are handled
-//     in arrival order by a worker pool; over a shard map, small batches
-//     walk CampaignShardMap::Decide per request -- an RCU-guarded pointer
-//     chase with no locks -- so N connections price concurrently and a
-//     control op on one shard never stalls anyone, while batches at or
-//     above ServerOptions::pool_batch_threshold fan out per shard on the
-//     foreground job pool.
+//   - Serving plane: a kDecideBatchRequest frame takes one path: the
+//     payload splits into body lines (net/wire.h), the surface's
+//     DecideBatchLines answers them, and the answer lines join into the
+//     response; a batch the surface refuses (a malformed request line)
+//     answers the batch error form and counts one protocol error. Each
+//     connection's frames are handled in arrival order by a worker pool;
+//     over a shard map, small batches walk CampaignShardMap::Decide per
+//     request -- an RCU-guarded pointer chase with no locks -- so N
+//     connections price concurrently and a control op on one shard never
+//     stalls anyone, while batches of 256 requests or more fan out per
+//     shard on the foreground job pool.
 //   - Control plane: kControlRequest frames deserialize to a
 //     serving::ControlOp and funnel into ServingSurface::Apply (over a
 //     map, the same single writer surface ArrivalSchedule events use);
@@ -79,25 +82,15 @@ class ServingSurface {
  public:
   virtual ~ServingSurface() = default;
 
-  /// Answers a decide batch; responses align with `requests`
-  /// index-for-index, per-request failures riding in their response
-  /// status.
-  virtual std::vector<serving::DecideResponse> DecideBatch(
-      const std::vector<serving::DecideRequest>& requests) = 0;
-
-  /// Optional line-splice decide plane: answers wire body lines (no
-  /// trailing newlines) with exactly one response line per request line.
-  /// Returning false (the default) means unsupported and the server
-  /// falls back to the parsed DecideBatch path. The router overrides
-  /// this to forward slices verbatim -- canonical hex-float
-  /// serialization makes the splice bit-exact -- so a routing hop never
-  /// re-parses or re-encodes a sheet.
-  virtual bool DecideBatchLines(const std::vector<std::string>& request_lines,
-                                std::vector<std::string>* response_lines) {
-    static_cast<void>(request_lines);
-    static_cast<void>(response_lines);
-    return false;
-  }
+  /// Answers a decide batch given as wire body lines (net/wire.h, no
+  /// trailing newlines) with exactly one response line per request line,
+  /// in request order. Per-request failures ride in their response line's
+  /// status; a non-OK result fails the whole batch (InvalidArgument for a
+  /// malformed request line) and reaches the client as the batch error
+  /// form. Canonical hex-float serialization makes a verbatim splice
+  /// bit-exact, so the router forwards lines without parsing a sheet.
+  virtual Result<std::vector<std::string>> DecideBatchLines(
+      const std::vector<std::string>& request_lines) = 0;
 
   /// Applies one lifecycle mutation.
   virtual Result<serving::ControlOutcome> Apply(serving::ControlOp op) = 0;
@@ -120,12 +113,6 @@ struct ServerOptions {
   /// Stop(): how long to wait for in-flight frames to drain before
   /// tearing the loop down anyway.
   int drain_timeout_ms = 5000;
-  /// Decide batches with at least this many requests are answered via
-  /// DecideBatch on the foreground job pool (per-shard fan-out); smaller
-  /// batches answer inline on the handler thread, wait-free. Applies to
-  /// map-backed servers only (surface-backed servers batch as they see
-  /// fit).
-  size_t pool_batch_threshold = 256;
   /// Shared-secret token. Empty disables auth; otherwise every
   /// connection must hello with exactly this token first (see the file
   /// comment).

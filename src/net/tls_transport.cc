@@ -5,12 +5,15 @@
 
 #if CROWDPRICE_HAVE_OPENSSL
 
+#include <openssl/bio.h>
 #include <openssl/err.h>
 #include <openssl/ssl.h>
 #include <openssl/x509.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -33,14 +36,56 @@ std::string OpenSslErrors(const char* fallback) {
   return out.empty() ? fallback : out;
 }
 
+/// The write half of an SSL's socket I/O. OpenSSL's socket BIO writes
+/// with write(2), so a peer that has already closed raises SIGPIPE and
+/// kills the process; this BIO sends with MSG_NOSIGNAL instead, leaving
+/// EPIPE to surface as a failed write. Reads keep the stock socket BIO.
+int NoSignalWrite(BIO* bio, const char* data, int size) {
+  const auto fd =
+      static_cast<int>(reinterpret_cast<intptr_t>(BIO_get_data(bio)));
+  BIO_clear_retry_flags(bio);
+  const ssize_t sent = send(fd, data, static_cast<size_t>(size), MSG_NOSIGNAL);
+  if (sent <= 0 && BIO_sock_should_retry(static_cast<int>(sent))) {
+    BIO_set_retry_write(bio);
+  }
+  return static_cast<int>(sent);
+}
+
+// NOLINTNEXTLINE(runtime/int): OpenSSL's own ctrl signature.
+long NoSignalCtrl(BIO* /*bio*/, int cmd, long /*arg*/, void* /*ptr*/) {
+  // Nothing is buffered: a flush is always complete, and every other
+  // query answers "unsupported".
+  return cmd == BIO_CTRL_FLUSH ? 1 : 0;
+}
+
+/// A write BIO over `fd` (borrowed, never closed), or null on
+/// allocation failure.
+BIO* NewNoSignalWriteBio(int fd) {
+  static BIO_METHOD* const method = [] {
+    BIO_METHOD* m = BIO_meth_new(BIO_get_new_index() | BIO_TYPE_SOURCE_SINK,
+                                 "crowdprice socket write");
+    if (m != nullptr) {
+      BIO_meth_set_write(m, NoSignalWrite);
+      BIO_meth_set_ctrl(m, NoSignalCtrl);
+    }
+    return m;
+  }();
+  if (method == nullptr) return nullptr;
+  BIO* bio = BIO_new(method);
+  if (bio == nullptr) return nullptr;
+  BIO_set_data(bio, reinterpret_cast<void*>(static_cast<intptr_t>(fd)));
+  BIO_set_init(bio, 1);
+  return bio;
+}
+
 struct SslCtxDeleter {
   void operator()(SSL_CTX* ctx) const { SSL_CTX_free(ctx); }
 };
 using SslCtxPtr = std::unique_ptr<SSL_CTX, SslCtxDeleter>;
 
 /// One TLS session over a non-blocking socket. Owns the fd and the SSL
-/// object; the SSL's BIO borrows the fd (BIO_NOCLOSE), so the close
-/// here is the only one.
+/// object; the SSL's BIOs borrow the fd, so the close here is the only
+/// one.
 class TlsTransport final : public Transport {
  public:
   TlsTransport(int fd, SSL* ssl) : fd_(fd), ssl_(ssl) {}
@@ -137,13 +182,18 @@ class TlsTransportFactory final : public TransportFactory {
 
   std::unique_ptr<Transport> Wrap(int fd) override {
     SSL* ssl = SSL_new(ctx_.get());
-    if (ssl == nullptr || SSL_set_fd(ssl, fd) != 1) {
-      // Allocation failure this deep has no useful recovery; surface it
-      // as an immediately-erroring transport via a null SSL guard.
+    BIO* rbio = BIO_new_socket(fd, BIO_NOCLOSE);
+    BIO* wbio = NewNoSignalWriteBio(fd);
+    if (ssl == nullptr || rbio == nullptr || wbio == nullptr) {
+      // Allocation failure this deep has no useful recovery; the caller
+      // sees no transport and drops the connection.
+      BIO_free(rbio);
+      BIO_free(wbio);
       SSL_free(ssl);
       close(fd);
       return nullptr;
     }
+    SSL_set_bio(ssl, rbio, wbio);  // The SSL owns both BIOs now.
     if (server_) {
       SSL_set_accept_state(ssl);
     } else {

@@ -237,37 +237,6 @@ std::string SerializeDecideRequestLine(const serving::DecideRequest& request) {
   std::ostringstream out;
   out << "request " << request.campaign_id << " ";
   AppendRequestFields(request.request, &out);
-  out << "\n";
-  return out.str();
-}
-
-Result<serving::DecideRequest> ParseDecideRequestLine(const std::string& line,
-                                                      const char* what) {
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() < 5 || tokens[0] != "request") {
-    return Status::InvalidArgument(
-        StringF("%s: expected 'request <id> <now> <campaign> <k> ...'", what));
-  }
-  serving::DecideRequest request;
-  CP_ASSIGN_OR_RETURN(request.campaign_id, ParseId(tokens[1], what));
-  CP_ASSIGN_OR_RETURN(request.request, ParseRequestFields(tokens, 2, what));
-  return request;
-}
-
-std::string SerializeDecideResponseLine(
-    const serving::DecideResponse& response) {
-  std::ostringstream out;
-  out << "response " << response.campaign_id;
-  if (response.status.ok()) {
-    out << " ok ";
-    AppendSheetFields(response.sheet, &out);
-  } else {
-    out << " err " << EncodeStatusFragment(response.status);
-  }
-  out << "\n";
   return out.str();
 }
 
@@ -307,6 +276,35 @@ Result<serving::DecideResponse> ParseDecideResponseLine(
 }
 
 }  // namespace
+
+Result<serving::DecideRequest> ParseDecideRequestLine(const std::string& line,
+                                                      const char* what) {
+  std::istringstream ss(line);
+  std::vector<std::string> tokens;
+  std::string token;
+  while (ss >> token) tokens.push_back(token);
+  if (tokens.size() < 5 || tokens[0] != "request") {
+    return Status::InvalidArgument(
+        StringF("%s: expected 'request <id> <now> <campaign> <k> ...'", what));
+  }
+  serving::DecideRequest request;
+  CP_ASSIGN_OR_RETURN(request.campaign_id, ParseId(tokens[1], what));
+  CP_ASSIGN_OR_RETURN(request.request, ParseRequestFields(tokens, 2, what));
+  return request;
+}
+
+std::string SerializeDecideResponseLine(
+    const serving::DecideResponse& response) {
+  std::ostringstream out;
+  out << "response " << response.campaign_id;
+  if (response.status.ok()) {
+    out << " ok ";
+    AppendSheetFields(response.sheet, &out);
+  } else {
+    out << " err " << EncodeStatusFragment(response.status);
+  }
+  return out.str();
+}
 
 void EncodeFrameHeader(const FrameHeader& header,
                        char out[kFrameHeaderBytes]) {
@@ -447,7 +445,7 @@ Result<market::OfferSheet> DeserializeOfferSheet(const std::string& text) {
 }
 
 std::string SerializeDecideResponse(const serving::DecideResponse& response) {
-  return SerializeDecideResponseLine(response);
+  return SerializeDecideResponseLine(response) + "\n";
 }
 
 Result<serving::DecideResponse> DeserializeDecideResponse(
@@ -662,49 +660,37 @@ Result<serving::ControlOutcome> DeserializeControlAck(
 
 std::string SerializeDecideBatchRequest(
     const std::vector<serving::DecideRequest>& requests) {
-  std::ostringstream out;
-  out << "decide-batch " << requests.size() << "\n";
+  std::vector<std::string> lines;
+  lines.reserve(requests.size());
   for (const serving::DecideRequest& request : requests) {
-    out << SerializeDecideRequestLine(request);
+    lines.push_back(SerializeDecideRequestLine(request));
   }
-  return out.str();
+  return JoinDecideBatchPayload(lines);
 }
 
 Result<std::vector<serving::DecideRequest>> DeserializeDecideBatchRequest(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string header, cursor.Line("batch header"));
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                      SplitN(header, 2, nullptr, "batch header"));
-  if (fields[0] != "decide-batch") {
-    return Status::InvalidArgument("expected 'decide-batch <n>'");
-  }
-  CP_ASSIGN_OR_RETURN(long count, ParseInt(fields[1], "batch size"));
-  if (count < 0 || count > kMaxBatchRequests) {
-    return Status::InvalidArgument(
-        StringF("batch size %ld out of range [0, %ld]", count,
-                kMaxBatchRequests));
-  }
+  CP_ASSIGN_OR_RETURN(
+      std::vector<std::string> lines,
+      SplitDecideBatchPayload(text, "decide batch", DecidePayload::kRequest));
   std::vector<serving::DecideRequest> requests;
-  requests.reserve(static_cast<size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("batch request line"));
+  requests.reserve(lines.size());
+  for (const std::string& line : lines) {
     CP_ASSIGN_OR_RETURN(serving::DecideRequest request,
                         ParseDecideRequestLine(line, "batch request line"));
     requests.push_back(std::move(request));
   }
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "decide batch"));
   return requests;
 }
 
 std::string SerializeDecideBatchResponse(
     const std::vector<serving::DecideResponse>& responses) {
-  std::ostringstream out;
-  out << "decide-batch " << responses.size() << "\n";
+  std::vector<std::string> lines;
+  lines.reserve(responses.size());
   for (const serving::DecideResponse& response : responses) {
-    out << SerializeDecideResponseLine(response);
+    lines.push_back(SerializeDecideResponseLine(response));
   }
-  return out.str();
+  return JoinDecideBatchPayload(lines);
 }
 
 std::string SerializeBatchError(const Status& status) {
@@ -713,52 +699,24 @@ std::string SerializeBatchError(const Status& status) {
 
 Result<std::vector<serving::DecideResponse>> DeserializeDecideBatchResponse(
     const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string header, cursor.Line("batch header"));
-  // The whole-batch error form: `err <code> <message>`.
-  if (header.rfind("err", 0) == 0 &&
-      (header.size() == 3 || header[3] == ' ')) {
-    CP_RETURN_IF_ERROR(ExpectEnd(cursor, "batch error"));
-    std::string rest;
-    CP_ASSIGN_OR_RETURN(std::vector<std::string> head,
-                        SplitN(header, 1, &rest, "batch error"));
-    static_cast<void>(head);
-    Status status;
-    CP_RETURN_IF_ERROR(DecodeStatusFragment(rest, &status));
-    if (status.ok()) {
-      return Status::InvalidArgument("batch error carries an OK status");
-    }
-    return status;
-  }
-  CP_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                      SplitN(header, 2, nullptr, "batch header"));
-  if (fields[0] != "decide-batch") {
-    return Status::InvalidArgument("expected 'decide-batch <n>' or 'err ...'");
-  }
-  CP_ASSIGN_OR_RETURN(long count, ParseInt(fields[1], "batch size"));
-  if (count < 0 || count > kMaxBatchRequests) {
-    return Status::InvalidArgument(
-        StringF("batch size %ld out of range [0, %ld]", count,
-                kMaxBatchRequests));
-  }
+  CP_ASSIGN_OR_RETURN(std::vector<std::string> lines,
+                      SplitDecideBatchPayload(text, "batch response"));
   std::vector<serving::DecideResponse> responses;
-  responses.reserve(static_cast<size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("batch response line"));
+  responses.reserve(lines.size());
+  for (const std::string& line : lines) {
     CP_ASSIGN_OR_RETURN(serving::DecideResponse response,
                         ParseDecideResponseLine(line, "batch response line"));
     responses.push_back(std::move(response));
   }
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "decide batch"));
   return responses;
 }
 
 Result<std::vector<std::string>> SplitDecideBatchPayload(
-    const std::string& payload, const char* what) {
+    const std::string& payload, const char* what, DecidePayload kind) {
   Cursor cursor(payload);
   CP_ASSIGN_OR_RETURN(std::string header, cursor.Line(what));
   // The whole-batch error form: `err <code> <message>`.
-  if (header.rfind("err", 0) == 0 &&
+  if (kind == DecidePayload::kResponse && header.rfind("err", 0) == 0 &&
       (header.size() == 3 || header[3] == ' ')) {
     CP_RETURN_IF_ERROR(ExpectEnd(cursor, what));
     std::string rest;
@@ -796,10 +754,15 @@ Result<std::vector<std::string>> SplitDecideBatchPayload(
 }
 
 std::string JoinDecideBatchPayload(const std::vector<std::string>& lines) {
-  std::ostringstream out;
-  out << "decide-batch " << lines.size() << "\n";
-  for (const std::string& line : lines) out << line << "\n";
-  return out.str();
+  std::string out = "decide-batch " + std::to_string(lines.size()) + "\n";
+  size_t bytes = out.size();
+  for (const std::string& line : lines) bytes += line.size() + 1;
+  out.reserve(bytes);
+  for (const std::string& line : lines) {
+    out += line;
+    out += '\n';
+  }
+  return out;
 }
 
 Result<serving::CampaignId> DecideLineCampaignId(const std::string& line) {
@@ -811,16 +774,6 @@ Result<serving::CampaignId> DecideLineCampaignId(const std::string& line) {
         "expected 'request <id> ...' or 'response <id> ...'");
   }
   return ParseId(head[1], "decide line");
-}
-
-std::string DecideErrorLine(serving::CampaignId id, const Status& status) {
-  serving::DecideResponse response;
-  response.campaign_id = id;
-  response.status =
-      status.ok() ? Status::Unavailable("backend unavailable") : status;
-  std::string line = SerializeDecideResponseLine(response);
-  if (!line.empty() && line.back() == '\n') line.pop_back();
-  return line;
 }
 
 std::string SerializePingRequest() { return "ping\n"; }

@@ -137,18 +137,27 @@ std::string SerializeControlAck(const Result<serving::ControlOutcome>& ack);
 Result<serving::ControlOutcome> DeserializeControlAck(const std::string& text);
 
 // --- Batch payload codecs -------------------------------------------------
+//
+// A decide batch is `decide-batch <n>` then n body lines, one per request
+// (or, in a response, one per answer, aligned index-for-index).
+// SplitDecideBatchPayload is the one parser of that framing -- header,
+// count bound, and the whole-batch `err` form -- and JoinDecideBatchPayload
+// the one writer; each batch codec is one of those two plus a per-line
+// codec. Because serialization is canonical (hex-float fields round trip
+// bit-exactly), forwarding body lines verbatim is identical to decoding
+// and re-encoding them, which is how the router hops a batch without
+// parsing a sheet.
 
-/// kDecideBatchRequest payload: `decide-batch <n>` then one request line
-/// per entry (campaign id + the market::DecisionRequest fields).
+/// kDecideBatchRequest payload: one request line per entry (campaign id +
+/// the market::DecisionRequest fields).
 std::string SerializeDecideBatchRequest(
     const std::vector<serving::DecideRequest>& requests);
 Result<std::vector<serving::DecideRequest>> DeserializeDecideBatchRequest(
     const std::string& text);
 
-/// kDecideBatchResponse payload: `decide-batch <n>` then one response
-/// line per request, aligned index-for-index with the request batch.
+/// kDecideBatchResponse payload: one response line per request.
 /// Per-request failures ride in their response line's status; a batch
-/// the server could not parse at all comes back as the SerializeBatchError
+/// the server could not answer at all comes back as the SerializeBatchError
 /// form, which DeserializeDecideBatchResponse surfaces as that Status.
 std::string SerializeDecideBatchResponse(
     const std::vector<serving::DecideResponse>& responses);
@@ -156,32 +165,36 @@ std::string SerializeBatchError(const Status& status);
 Result<std::vector<serving::DecideResponse>> DeserializeDecideBatchResponse(
     const std::string& text);
 
-// --- Batch line splicing ---------------------------------------------------
-//
-// The router's zero-reparse fast path: because serialization is canonical
-// (hex-float fields round trip bit-exactly), forwarding a batch's body
-// lines verbatim is identical to decoding and re-encoding them. These
-// helpers split a `decide-batch <n>` payload into its n body lines and
-// rejoin them, so a routing hop costs a line scan instead of a full
-// sheet parse.
+/// Which end of a decide exchange a batch payload comes from. Only a
+/// response may take the whole-batch `err ...` form; a request in that
+/// form is malformed.
+enum class DecidePayload { kRequest, kResponse };
 
-/// Splits a decide-batch payload (request or response form) into its body
-/// lines, returned without trailing newlines. A response payload in the
-/// whole-batch `err ...` form surfaces as that Status.
+/// Splits a decide-batch payload into its body lines, returned without
+/// trailing newlines. A response payload in the `err ...` form surfaces as
+/// the Status it carries; every framing fault is InvalidArgument prefixed
+/// with `what`.
 Result<std::vector<std::string>> SplitDecideBatchPayload(
-    const std::string& payload, const char* what);
+    const std::string& payload, const char* what,
+    DecidePayload kind = DecidePayload::kResponse);
 
-/// Rebuilds a decide-batch payload around body lines from
-/// SplitDecideBatchPayload (or DecideErrorLine).
+/// Rebuilds a decide-batch payload around body lines (no trailing
+/// newlines).
 std::string JoinDecideBatchPayload(const std::vector<std::string>& lines);
+
+/// Parses one request body line, `request <id> <now> <campaign> <k>
+/// <remaining...>`; errors are InvalidArgument prefixed with `what`.
+Result<serving::DecideRequest> ParseDecideRequestLine(const std::string& line,
+                                                      const char* what);
+
+/// One response body line (no trailing newline): `response <id> ok <k>
+/// <price> <group> ...` or `response <id> err <status fragment>`.
+std::string SerializeDecideResponseLine(
+    const serving::DecideResponse& response);
 
 /// The campaign id a request/response line belongs to, parsed without
 /// touching the numeric fields (what the router shards on).
 Result<serving::CampaignId> DecideLineCampaignId(const std::string& line);
-
-/// One `response <id> err ...` body line (no trailing newline) carrying
-/// `status` -- the router's answer for a slice it could not forward.
-std::string DecideErrorLine(serving::CampaignId id, const Status& status);
 
 // --- Health probes ---------------------------------------------------------
 

@@ -90,9 +90,6 @@ class MultiTypePlan {
     return opt_.data() + static_cast<size_t>(t) * states_per_layer();
   }
   /// Layer of packed price pairs at t; t in [0, NT).
-  const int32_t* PolicyLayer(int t) const {
-    return policy_.data() + static_cast<size_t>(t) * states_per_layer();
-  }
   int32_t* MutablePolicyLayer(int t) {
     return policy_.data() + static_cast<size_t>(t) * states_per_layer();
   }

@@ -33,10 +33,4 @@ Status DeadlineProblem::Validate() const {
   return Status::OK();
 }
 
-Result<std::vector<double>> IntervalWorkerMeans(
-    const arrival::PiecewiseConstantRate& rate, double horizon_hours,
-    int num_intervals) {
-  return rate.IntervalMeans(horizon_hours, num_intervals);
-}
-
 }  // namespace crowdprice::pricing

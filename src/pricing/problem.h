@@ -3,10 +3,7 @@
 #ifndef CROWDPRICE_PRICING_PROBLEM_H_
 #define CROWDPRICE_PRICING_PROBLEM_H_
 
-#include <vector>
-
-#include "arrival/rate_function.h"
-#include "util/result.h"
+#include "util/status.h"
 
 namespace crowdprice::pricing {
 
@@ -37,13 +34,6 @@ struct DeadlineProblem {
            penalty_cents;
   }
 };
-
-/// The per-interval expected worker arrivals lambda_t of Eq. (4):
-/// lambda_t = integral of lambda over interval t of [0, horizon] split into
-/// problem.num_intervals equal parts.
-Result<std::vector<double>> IntervalWorkerMeans(
-    const arrival::PiecewiseConstantRate& rate, double horizon_hours,
-    int num_intervals);
 
 }  // namespace crowdprice::pricing
 

@@ -84,7 +84,6 @@ class BackendPool {
   /// against their leased connection.
   Status Remove(const std::string& endpoint);
   bool Has(const std::string& endpoint) const;
-  std::vector<std::string> Names() const;
 
   /// Runs `fn` over the named backend's leased connection (dialing or
   /// redialing first when needed). Unavailable outcomes -- from the dial,
@@ -95,7 +94,6 @@ class BackendPool {
   Status WithClient(const std::string& name,
                     const std::function<Status(net::PricingClient&)>& fn);
 
-  bool IsUp(const std::string& name) const;
   std::vector<BackendHealth> Health() const;
 
   /// One synchronous probe sweep over every backend (what the probe

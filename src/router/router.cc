@@ -20,8 +20,15 @@ using serving::CampaignId;
 using serving::CampaignState;
 using serving::ControlOp;
 using serving::ControlOutcome;
-using serving::DecideRequest;
-using serving::DecideResponse;
+
+/// One `response <id> err ...` body line carrying `status`: the answer
+/// for a request the router could not forward.
+std::string ErrorLine(CampaignId id, const Status& status) {
+  serving::DecideResponse response;
+  response.campaign_id = id;
+  response.status = status;
+  return net::SerializeDecideResponseLine(response);
+}
 
 }  // namespace
 
@@ -63,103 +70,17 @@ struct CampaignRouter::Impl {
     }
   }
 
-  /// Forwards one backend's slice of a decide batch and scatters the
-  /// responses back to their original indices; a transport failure (after
-  /// the pool's retries) answers every request in the slice Unavailable.
-  void ForwardSlice(const std::string& backend,
-                    const std::vector<DecideRequest>& requests,
-                    const std::vector<size_t>& indices,
-                    std::vector<DecideResponse>& responses) {
-    std::vector<DecideRequest> slice;
-    slice.reserve(indices.size());
-    for (const size_t index : indices) slice.push_back(requests[index]);
-
-    std::vector<DecideResponse> answered;
-    const Status status =
-        pool.WithClient(backend, [&](net::PricingClient& client) {
-          CP_ASSIGN_OR_RETURN(answered, client.DecideBatch(slice));
-          return Status::OK();
-        });
-    if (status.ok() && answered.size() == indices.size()) {
-      for (size_t i = 0; i < indices.size(); ++i) {
-        responses[indices[i]] = std::move(answered[i]);
-      }
-      return;
-    }
-    const Status failure =
-        status.ok() ? Status::Internal("backend answered a misaligned batch")
-                    : status;
-    for (const size_t index : indices) {
-      responses[index].campaign_id = requests[index].campaign_id;
-      responses[index].status = failure;
-      unavailable.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  std::vector<DecideResponse> DecideBatch(
-      const std::vector<DecideRequest>& requests) {
-    std::shared_lock<std::shared_mutex> drain(drain_mu);
-    decide_requests.fetch_add(requests.size(), std::memory_order_relaxed);
-    std::vector<DecideResponse> responses(requests.size());
-    if (placement.empty()) {
-      for (size_t i = 0; i < requests.size(); ++i) {
-        responses[i].campaign_id = requests[i].campaign_id;
-        responses[i].status =
-            Status::Unavailable("router has no backends to route to");
-      }
-      unavailable.fetch_add(requests.size(), std::memory_order_relaxed);
-      return responses;
-    }
-
-    // Group request indices by owning backend, preserving arrival order
-    // within each group (reassembly is by index, so order is cosmetic --
-    // but deterministic slices make the wire traffic reproducible).
-    std::unordered_map<std::string, size_t> group_of;
-    std::vector<std::pair<std::string, std::vector<size_t>>> groups;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const std::string owner =
-          placement.OwnerOf(requests[i].campaign_id).value();
-      const auto [it, inserted] = group_of.try_emplace(owner, groups.size());
-      if (inserted) groups.emplace_back(owner, std::vector<size_t>());
-      groups[it->second].second.push_back(i);
-    }
-
-    if (groups.empty()) return responses;  // Empty batch.
-
-    // Forward every group concurrently, the first inline on this thread.
-    // On a single-core host the spawned forwarders cannot overlap anyway,
-    // so the per-batch thread cost is pure tail latency: forward
-    // sequentially instead.
-    static const bool parallel_forward =
-        std::thread::hardware_concurrency() > 1;
-    if (parallel_forward) {
-      std::vector<std::thread> forwarders;
-      forwarders.reserve(groups.size());
-      for (size_t g = 1; g < groups.size(); ++g) {
-        forwarders.emplace_back([this, &groups, &requests, &responses, g] {
-          ForwardSlice(groups[g].first, requests, groups[g].second,
-                       responses);
-        });
-      }
-      ForwardSlice(groups[0].first, requests, groups[0].second, responses);
-      for (std::thread& forwarder : forwarders) forwarder.join();
-    } else {
-      for (const auto& [backend, indices] : groups) {
-        ForwardSlice(backend, requests, indices, responses);
-      }
-    }
-    return responses;
-  }
-
-  /// Line-splice sibling of ForwardSlice: forwards a backend's slice of
-  /// wire body lines verbatim and scatters the response lines back; a
+  /// Forwards one backend's slice of wire body lines verbatim and
+  /// scatters the response lines back to their original indices. A
   /// transport failure (after the pool's retries) answers every line in
-  /// the slice with a serialized Unavailable response.
-  void ForwardSliceLines(const std::string& backend,
-                         const std::vector<std::string>& request_lines,
-                         const std::vector<CampaignId>& ids,
-                         const std::vector<size_t>& indices,
-                         std::vector<std::string>& response_lines) {
+  /// the slice with that status. A batch-level InvalidArgument -- the
+  /// backend found a malformed request line -- is returned instead, so the
+  /// routed batch fails the way a direct one does.
+  Status ForwardSlice(const std::string& backend,
+                      const std::vector<std::string>& request_lines,
+                      const std::vector<CampaignId>& ids,
+                      const std::vector<size_t>& indices,
+                      std::vector<std::string>& response_lines) {
     std::vector<std::string> slice;
     slice.reserve(indices.size());
     for (const size_t index : indices) slice.push_back(request_lines[index]);
@@ -170,49 +91,55 @@ struct CampaignRouter::Impl {
           CP_ASSIGN_OR_RETURN(answered, client.DecideBatchLines(slice));
           return Status::OK();
         });
-    if (status.ok() && answered.size() == indices.size()) {
+    if (status.ok()) {
       for (size_t i = 0; i < indices.size(); ++i) {
         response_lines[indices[i]] = std::move(answered[i]);
       }
-      return;
+      return Status::OK();
     }
-    const Status failure =
-        status.ok() ? Status::Internal("backend answered a misaligned batch")
-                    : status;
+    if (status.IsInvalidArgument()) return status;
+    if (status.IsUnavailable()) {
+      unavailable.fetch_add(indices.size(), std::memory_order_relaxed);
+    }
     for (const size_t index : indices) {
-      response_lines[index] = net::DecideErrorLine(ids[index], failure);
-      unavailable.fetch_add(1, std::memory_order_relaxed);
+      response_lines[index] = ErrorLine(ids[index], status);
     }
+    return Status::OK();
   }
 
-  bool DecideBatchLines(const std::vector<std::string>& request_lines,
-                        std::vector<std::string>* response_lines) {
-    // Extract every campaign id up front; a line this helper cannot read
-    // defers the whole batch to the parsed path, which owns the error
-    // semantics for malformed requests.
+  Result<std::vector<std::string>> DecideBatchLines(
+      const std::vector<std::string>& request_lines) {
+    // Shard on each line's campaign id alone; the owning backend parses
+    // the rest. A line without a readable id fails the batch with the
+    // verdict a backend's own line parse would give.
     std::vector<CampaignId> ids;
     ids.reserve(request_lines.size());
     for (const std::string& line : request_lines) {
       const Result<CampaignId> id = net::DecideLineCampaignId(line);
-      if (!id.ok()) return false;
+      if (!id.ok()) {
+        const Status parsed =
+            net::ParseDecideRequestLine(line, "batch request line").status();
+        return parsed.ok() ? id.status() : parsed;
+      }
       ids.push_back(*id);
     }
 
     std::shared_lock<std::shared_mutex> drain(drain_mu);
-    decide_requests.fetch_add(request_lines.size(),
-                              std::memory_order_relaxed);
-    response_lines->assign(request_lines.size(), std::string());
+    decide_requests.fetch_add(ids.size(), std::memory_order_relaxed);
+    std::vector<std::string> response_lines(ids.size());
     if (placement.empty()) {
       const Status status =
           Status::Unavailable("router has no backends to route to");
       for (size_t i = 0; i < ids.size(); ++i) {
-        (*response_lines)[i] = net::DecideErrorLine(ids[i], status);
+        response_lines[i] = ErrorLine(ids[i], status);
       }
-      unavailable.fetch_add(request_lines.size(),
-                            std::memory_order_relaxed);
-      return true;
+      unavailable.fetch_add(ids.size(), std::memory_order_relaxed);
+      return response_lines;
     }
 
+    // Group line indices by owning backend, preserving arrival order
+    // within each group (reassembly is by index, so order is cosmetic --
+    // but deterministic slices make the wire traffic reproducible).
     std::unordered_map<std::string, size_t> group_of;
     std::vector<std::pair<std::string, std::vector<size_t>>> groups;
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -221,30 +148,32 @@ struct CampaignRouter::Impl {
       if (inserted) groups.emplace_back(owner, std::vector<size_t>());
       groups[it->second].second.push_back(i);
     }
-    if (groups.empty()) return true;  // Empty batch.
+    if (groups.empty()) return response_lines;  // Empty batch.
 
+    // Forward every group concurrently, the first inline on this thread.
+    // On a single-core host the spawned forwarders cannot overlap anyway,
+    // so the per-batch thread cost is pure tail latency: forward
+    // sequentially instead.
+    std::vector<Status> verdicts(groups.size());
+    const auto forward = [&](size_t g) {
+      verdicts[g] = ForwardSlice(groups[g].first, request_lines, ids,
+                                 groups[g].second, response_lines);
+    };
     static const bool parallel_forward =
         std::thread::hardware_concurrency() > 1;
     if (parallel_forward) {
       std::vector<std::thread> forwarders;
-      forwarders.reserve(groups.size());
+      forwarders.reserve(groups.size() - 1);
       for (size_t g = 1; g < groups.size(); ++g) {
-        forwarders.emplace_back(
-            [this, &groups, &request_lines, &ids, response_lines, g] {
-              ForwardSliceLines(groups[g].first, request_lines, ids,
-                                groups[g].second, *response_lines);
-            });
+        forwarders.emplace_back(forward, g);
       }
-      ForwardSliceLines(groups[0].first, request_lines, ids,
-                        groups[0].second, *response_lines);
+      forward(0);
       for (std::thread& forwarder : forwarders) forwarder.join();
     } else {
-      for (const auto& [backend, indices] : groups) {
-        ForwardSliceLines(backend, request_lines, ids, indices,
-                          *response_lines);
-      }
+      for (size_t g = 0; g < groups.size(); ++g) forward(g);
     }
-    return true;
+    for (const Status& verdict : verdicts) CP_RETURN_IF_ERROR(verdict);
+    return response_lines;
   }
 
   /// Routes one control op to `backend`. Server-side verdicts (NotFound,
@@ -453,15 +382,9 @@ Result<CampaignRouter> CampaignRouter::Create(
   return CampaignRouter(std::move(impl));
 }
 
-std::vector<DecideResponse> CampaignRouter::DecideBatch(
-    const std::vector<DecideRequest>& requests) {
-  return impl_->DecideBatch(requests);
-}
-
-bool CampaignRouter::DecideBatchLines(
-    const std::vector<std::string>& request_lines,
-    std::vector<std::string>* response_lines) {
-  return impl_->DecideBatchLines(request_lines, response_lines);
+Result<std::vector<std::string>> CampaignRouter::DecideBatchLines(
+    const std::vector<std::string>& request_lines) {
+  return impl_->DecideBatchLines(request_lines);
 }
 
 Result<ControlOutcome> CampaignRouter::Apply(ControlOp op) {

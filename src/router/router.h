@@ -10,11 +10,14 @@
 //     Admits assign router-wide ids and place the campaign on its owner
 //     via the explicit-id admit (`control admit-at`), so ids stay stable
 //     as campaigns move.
-//   - Decide fan-out: DecideBatch splits a mixed batch by owning backend,
-//     forwards each backend's slice concurrently over the pool's leased
-//     connections, and reassembles responses in request order. Sheets
-//     pass through byte-for-byte (the wire is hex-float exact), so a
-//     routed decide is bit-identical to a direct one.
+//   - Decide fan-out: DecideBatchLines reads each wire body line's
+//     campaign id, splits a mixed batch by owning backend, forwards each
+//     backend's slice of lines verbatim and concurrently over the pool's
+//     leased connections, and splices the response lines back in request
+//     order. Sheets pass through byte-for-byte (the wire is hex-float
+//     exact), so a routed decide is bit-identical to a direct one -- a
+//     malformed request line included: the batch fails with the same
+//     InvalidArgument a direct backend answers.
 //   - Failover: the BackendPool (router/backend_pool.h) health-probes
 //     every backend, retries Unavailable outcomes with bounded backoff,
 //     and marks repeat offenders down. A request whose owner is down (or
@@ -80,18 +83,15 @@ class CampaignRouter final : public net::ServingSurface {
 
   // --- net::ServingSurface ----------------------------------------------
 
-  /// Fan-out by owning backend (see file comment). Requests whose owner
-  /// cannot be reached answer Unavailable in their response status; the
-  /// batch itself always returns, aligned index-for-index.
-  std::vector<serving::DecideResponse> DecideBatch(
-      const std::vector<serving::DecideRequest>& requests) override;
-
-  /// Zero-reparse fan-out: routes pre-serialized wire body lines to their
-  /// owners and splices the response lines back in request order, never
-  /// parsing a sheet. Returns false (deferring to the parsed path) when
-  /// any line's campaign id cannot be extracted.
-  bool DecideBatchLines(const std::vector<std::string>& request_lines,
-                        std::vector<std::string>* response_lines) override;
+  /// Fan-out by owning backend (see file comment): routes wire body lines
+  /// to their owners verbatim and splices the response lines back in
+  /// request order, never parsing a sheet. Requests whose owner cannot be
+  /// reached answer Unavailable in their response line. The batch fails
+  /// InvalidArgument -- with the text a direct backend gives -- when a
+  /// line's campaign id is unreadable or an owner rejects its slice as
+  /// malformed.
+  Result<std::vector<std::string>> DecideBatchLines(
+      const std::vector<std::string>& request_lines) override;
 
   /// Routes one lifecycle mutation to the owning backend. Admits assign
   /// the router-wide id (or honor the op's explicit id) and place the

@@ -607,12 +607,6 @@ Result<BorrowedController> CampaignShardMap::BorrowController(CampaignId id) {
   return BorrowedController(snapshot, snapshot->controller());
 }
 
-void CampaignShardMap::ParallelOverShards(const std::function<void(int)>& fn) {
-  impl_->ParallelFor(impl_->num_shards, [&](int64_t shard_index) {
-    fn(static_cast<int>(shard_index));
-  });
-}
-
 void CampaignShardMap::ParallelOverShardsWith(
     const std::function<void(int)>& fn, const std::function<void()>& extra) {
   // The extra lane rides the same region as index num_shards; the pool

@@ -346,18 +346,14 @@ class CampaignShardMap {
   /// from exactly one shard thread).
   Result<BorrowedController> BorrowController(CampaignId id);
 
-  /// Runs fn(shard) for every shard concurrently on the foreground pool.
-  /// fn runs with no map lock or read guard held, so it may call any
-  /// public method, DecideBatch and ParallelOverShards included (pool
-  /// regions nest).
-  void ParallelOverShards(const std::function<void(int)>& fn);
-
-  /// Same, plus one `extra` task run concurrently with the shard passes
-  /// (the streaming fleet's admission lane: Admit/Retire/SwapArtifact
-  /// only take the target shard's writer mutex, and serving reads never
-  /// take even that, so campaigns enter the map while every shard keeps
-  /// being ticked, with no global barrier). `extra` obeys the same rules
-  /// as fn.
+  /// Runs fn(shard) for every shard, plus one `extra` task, concurrently
+  /// on the foreground pool (the streaming fleet's admission lane:
+  /// Admit/Retire/SwapArtifact only take the target shard's writer mutex,
+  /// and serving reads never take even that, so campaigns enter the map
+  /// while every shard keeps being ticked, with no global barrier). fn
+  /// and extra run with no map lock or read guard held, so they may call
+  /// any public method, DecideBatch and ParallelOverShardsWith included
+  /// (pool regions nest).
   void ParallelOverShardsWith(const std::function<void(int)>& fn,
                               const std::function<void()>& extra);
 

@@ -107,7 +107,9 @@ class TrickleProxy {
     socklen_t len = sizeof(addr);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
-    pump_ = std::thread([this] { Pump(); });
+    // The fd goes in by value: Stop() resets listen_fd_ while the pump
+    // may still be reading it.
+    pump_ = std::thread([this, listen_fd = listen_fd_] { Pump(listen_fd); });
     return true;
   }
 
@@ -134,8 +136,8 @@ class TrickleProxy {
     return true;
   }
 
-  void Pump() {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
+  void Pump(int listen_fd) {
+    const int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) return;
     const int backend = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
@@ -368,8 +370,9 @@ class WedgedServer {
     socklen_t len = sizeof(addr);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
-    drain_ = std::thread([this] {
-      const int conn = ::accept(listen_fd_, nullptr, nullptr);
+    // By value, as in TrickleProxy: Stop() resets listen_fd_.
+    drain_ = std::thread([listen_fd = listen_fd_] {
+      const int conn = ::accept(listen_fd, nullptr, nullptr);
       if (conn < 0) return;
       char sink[4096];
       while (::recv(conn, sink, sizeof(sink), 0) > 0) {

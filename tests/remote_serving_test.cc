@@ -13,11 +13,17 @@
 // every seed. The TSan CI job runs this binary to certify the server's
 // accept/decide/control/drain lanes are race-free.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -319,6 +325,66 @@ TEST(RemoteServingTest, ConcurrentConnectionsShareTheWaitFreeReadPath) {
             static_cast<uint64_t>(kThreads * kDecidesPerThread));
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_EQ(map->live_campaigns(), 1u);
+  ASSERT_TRUE(server->Stop().ok());
+}
+
+/// Sends one raw frame to 127.0.0.1:`port` and returns the payload of the
+/// answering frame (empty on any socket failure).
+std::string RawExchange(uint16_t port, FrameType type,
+                        const std::string& payload) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const std::string frame =
+      EncodeFrame(type, payload, kDefaultMaxFrameBytes).value();
+  std::string in;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(frame.size())) {
+    char buf[4096];
+    for (;;) {
+      if (in.size() >= kFrameHeaderBytes) {
+        const auto header = DecodeFrameHeader(in.data(), in.size(),
+                                              kDefaultMaxFrameBytes);
+        if (!header.ok()) break;
+        if (in.size() >= kFrameHeaderBytes + header->payload_bytes) {
+          ::close(fd);
+          return in.substr(kFrameHeaderBytes, header->payload_bytes);
+        }
+      }
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      in.append(buf, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  return "";
+}
+
+// A decide request in the whole-batch `err` form is a malformed request,
+// not a status to echo back: the one framing parser accepts that form
+// only on responses.
+TEST(RemoteServingTest, ErrFormRequestIsInvalidArgumentNotItsCarriedStatus) {
+  auto map = serving::CampaignShardMap::Create(2);
+  ASSERT_TRUE(map.ok());
+  ServerOptions options;
+  options.port = 0;
+  options.num_workers = 2;
+  auto server = PricingServer::Create(&map.value(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server->Start().ok());
+
+  const std::string answer =
+      RawExchange(server->port(), FrameType::kDecideBatchRequest, "err 8 x\n");
+  ASSERT_FALSE(answer.empty());
+  const auto responses = DeserializeDecideBatchResponse(answer);
+  ASSERT_FALSE(responses.ok());
+  EXPECT_TRUE(responses.status().IsInvalidArgument()) << responses.status();
+  EXPECT_EQ(server->stats().protocol_errors, 1u);
+  EXPECT_EQ(server->stats().decide_requests, 0u);
   ASSERT_TRUE(server->Stop().ok());
 }
 

@@ -80,6 +80,22 @@ struct Backend {
   }
 };
 
+/// Decides `batch` in process through the router's one decide method, over
+/// the same wire body lines a front server hands it.
+std::vector<DecideResponse> RouteBatch(
+    CampaignRouter& router, const std::vector<DecideRequest>& batch) {
+  const auto lines =
+      net::SplitDecideBatchPayload(net::SerializeDecideBatchRequest(batch),
+                                   "test batch", net::DecidePayload::kRequest);
+  EXPECT_TRUE(lines.ok()) << lines.status();
+  const auto answer = router.DecideBatchLines(lines.value());
+  EXPECT_TRUE(answer.ok()) << answer.status();
+  const auto responses = net::DeserializeDecideBatchResponse(
+      net::JoinDecideBatchPayload(answer.value()));
+  EXPECT_TRUE(responses.ok()) << responses.status();
+  return responses.value();
+}
+
 /// Pool options tuned for tests: no background probes (ProbeNow drives
 /// them), one quick retry, tiny backoff so failover asserts run fast.
 BackendPoolOptions TestPoolOptions() {
@@ -215,6 +231,67 @@ TEST(CampaignRouterTest, RoutedDecidesAreBitIdenticalToDirectDecides) {
   ASSERT_TRUE(front->Stop().ok());
 }
 
+// A malformed request line fails a routed batch exactly as it fails a
+// direct one: one InvalidArgument with the backend's own text, counted as
+// a protocol error at the front -- never per-line answers for the
+// offending slice, and never counted as Unavailable.
+TEST(CampaignRouterTest, MalformedRequestLineFailsRoutedBatchLikeDirect) {
+  Backend b0 = Backend::Start();
+  Backend b1 = Backend::Start();
+  RouterOptions router_options;
+  router_options.pool = TestPoolOptions();
+  auto router = CampaignRouter::Create({b0.name, b1.name}, router_options);
+  ASSERT_TRUE(router.ok());
+  ServerOptions options;
+  options.port = 0;
+  options.num_workers = 2;
+  auto front = PricingServer::Create(&router.value(), options);
+  ASSERT_TRUE(front.ok());
+  ASSERT_TRUE(front->Start().ok());
+  auto routed = PricingClient::Connect("127.0.0.1", front->port());
+  ASSERT_TRUE(routed.ok());
+  auto direct = PricingClient::Connect("127.0.0.1", b0.server->port());
+  ASSERT_TRUE(direct.ok());
+
+  const auto artifact =
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact());
+  std::vector<DecideRequest> batch;
+  for (int i = 0; i < 8; ++i) {
+    const auto id = routed->AdmitShared(artifact, SmallLimits());
+    ASSERT_TRUE(id.ok()) << id.status();
+    batch.push_back(DecideRequest::Single(*id, 1.0, 5));
+  }
+  ASSERT_GT(b0.map->live_campaigns(), 0u);
+  ASSERT_GT(b1.map->live_campaigns(), 0u);
+  const std::vector<std::string> lines =
+      net::SplitDecideBatchPayload(net::SerializeDecideBatchRequest(batch),
+                                   "test batch", net::DecidePayload::kRequest)
+          .value();
+
+  // Line 0 keeps a readable id (the router can place it) but no numbers;
+  // then a line whose id itself is unreadable (the router cannot).
+  std::vector<std::vector<std::string>> malformed(2, lines);
+  malformed[0][0] = "request " + std::to_string(batch[0].campaign_id) +
+                    " zebra";
+  malformed[1][3] = "request zebra 0x1p+0 0x0p+0 1 5";
+  for (size_t m = 0; m < malformed.size(); ++m) {
+    const auto want = direct->DecideBatchLines(malformed[m]);
+    ASSERT_FALSE(want.ok());
+    EXPECT_TRUE(want.status().IsInvalidArgument()) << want.status();
+    const auto got = routed->DecideBatchLines(malformed[m]);
+    ASSERT_FALSE(got.ok()) << "case " << m << " answered per line";
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    EXPECT_EQ(front->stats().protocol_errors, m + 1);
+  }
+  EXPECT_EQ(router->stats().unavailable, 0u);
+
+  // The well-formed batch still routes.
+  const auto answered = routed->DecideBatchLines(lines);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->size(), lines.size());
+  ASSERT_TRUE(front->Stop().ok());
+}
+
 TEST(CampaignRouterTest, ControlPlaneRoutesByOwner) {
   Backend b0 = Backend::Start();
   Backend b1 = Backend::Start();
@@ -238,7 +315,7 @@ TEST(CampaignRouterTest, ControlPlaneRoutesByOwner) {
   ASSERT_TRUE(
       router->Apply(ControlOp::SwapArtifactShared(id, swap_artifact)).ok());
   const auto swapped =
-      router->DecideBatch({DecideRequest::Single(id, 1.0, 5)});
+      RouteBatch(*router, {DecideRequest::Single(id, 1.0, 5)});
   ASSERT_TRUE(swapped[0].status.ok());
   EXPECT_DOUBLE_EQ(swapped[0].sheet.offers[0].per_task_reward_cents, 77.0);
 
@@ -291,7 +368,7 @@ TEST(CampaignRouterTest, KilledBackendFailsOverToCleanUnavailable) {
   for (const CampaignId id : ids) {
     batch.push_back(DecideRequest::Single(id, 1.0, 5));
   }
-  const std::vector<DecideResponse> responses = router->DecideBatch(batch);
+  const std::vector<DecideResponse> responses = RouteBatch(*router, batch);
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     const std::string owner = placement.OwnerOf(ids[i]).value();
@@ -445,7 +522,8 @@ TEST(CampaignRouterTest, LiveRebalanceMigratesExactlyTheDiff) {
     limits.admit_hours = 0.5 * (i % 4);
     ids.push_back(
         router->Apply(ControlOp::AdmitShared(artifact, limits))->id);
-    const auto responses = router->DecideBatch(
+    const auto responses = RouteBatch(
+        *router,
         {DecideRequest::Single(ids.back(), limits.admit_hours + 1.0, 7)});
     ASSERT_TRUE(responses[0].status.ok());
     before.push_back(responses[0].sheet);
@@ -474,8 +552,8 @@ TEST(CampaignRouterTest, LiveRebalanceMigratesExactlyTheDiff) {
   // Every campaign -- moved or not -- answers exactly what it answered
   // before the rebalance (same id, same limits, same policy bytes).
   for (size_t i = 0; i < ids.size(); ++i) {
-    const auto responses = router->DecideBatch(
-        {DecideRequest::Single(ids[i], 0.5 * (i % 4) + 1.0, 7)});
+    const auto responses = RouteBatch(
+        *router, {DecideRequest::Single(ids[i], 0.5 * (i % 4) + 1.0, 7)});
     ASSERT_TRUE(responses[0].status.ok()) << responses[0].status;
     ASSERT_EQ(responses[0].sheet.offers.size(), before[i].offers.size());
     for (size_t o = 0; o < before[i].offers.size(); ++o) {
@@ -505,7 +583,7 @@ TEST(CampaignRouterTest, EmptyRouterAnswersUnavailable) {
   auto router = CampaignRouter::Create({}, router_options);
   ASSERT_TRUE(router.ok());
   const auto responses =
-      router->DecideBatch({DecideRequest::Single(1, 1.0, 5)});
+      RouteBatch(*router, {DecideRequest::Single(1, 1.0, 5)});
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].status.IsUnavailable());
   const auto artifact =

@@ -550,6 +550,30 @@ TEST(WireSerializationTest, MalformedPayloadsAreStatusErrorsNeverCrashes) {
   EXPECT_FALSE(DeserializeDecideBatchRequest("decide-batch -1\n").ok());
   EXPECT_FALSE(DeserializeDecideBatchRequest("decide-batch zebra\n").ok());
   EXPECT_FALSE(DeserializeDecideBatchRequest("decide-batch 99999999\n").ok());
+  // The same framing faults through the one framing parser, from either
+  // end; only a response may take the whole-batch err form.
+  for (const char* bad : {"", "decide-batch 3\n", "decide-batch -1\n",
+                          "decide-batch zebra\n", "decide-batch 99999999\n",
+                          "decide-batch 0\nextra\n"}) {
+    for (const DecidePayload kind :
+         {DecidePayload::kRequest, DecidePayload::kResponse}) {
+      EXPECT_TRUE(SplitDecideBatchPayload(bad, "batch", kind)
+                      .status()
+                      .IsInvalidArgument())
+          << "'" << bad << "'";
+    }
+  }
+  EXPECT_TRUE(
+      SplitDecideBatchPayload("err 8 x\n", "batch", DecidePayload::kRequest)
+          .status()
+          .IsInvalidArgument());
+  EXPECT_TRUE(DeserializeDecideBatchRequest("err 8 x\n")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      SplitDecideBatchPayload("err 8 x\n", "batch", DecidePayload::kResponse)
+          .status()
+          .IsUnavailable());
   // Garbage numbers inside an otherwise shaped line.
   EXPECT_FALSE(DeserializeDecisionRequest("request x y 1 5\n").ok());
   EXPECT_FALSE(DeserializeOfferSheet("sheet 1 nope 1\n").ok());

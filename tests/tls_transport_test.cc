@@ -7,6 +7,8 @@
 // in-process (tests/tls_test_util.h); every test skips cleanly on a
 // build without OpenSSL.
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <memory>
 #include <string>
@@ -284,6 +286,50 @@ TEST(TlsTransportTest, ReconnectRerunsTheTlsHandshake) {
   EXPECT_FALSE(client->connected());
   ASSERT_TRUE(client->Reconnect().ok());
   EXPECT_TRUE(client->Ping().ok());
+}
+
+// Writing to a peer that has already closed must fail the write, not
+// raise SIGPIPE: the process keeps its default SIGPIPE disposition, so
+// a signal here would kill the test binary.
+TEST(TlsTransportTest, WriteToClosedPeerFailsWithoutSigpipe) {
+  ASSERT_TRUE(TlsSupported());
+  tls_test::TestCa ca;
+  const tls_test::TestIdentity leaf = ca.MintLeaf("server");
+  TlsOptions server_tls;
+  server_tls.cert_file = leaf.cert_file;
+  server_tls.key_file = leaf.key_file;
+  TlsOptions client_tls;
+  client_tls.ca_file = ca.ca_file();
+  auto server_factory = MakeTlsServerTransportFactory(server_tls);
+  auto client_factory = MakeTlsClientTransportFactory(client_tls);
+  ASSERT_TRUE(server_factory.ok()) << server_factory.status();
+  ASSERT_TRUE(client_factory.ok()) << client_factory.status();
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  std::unique_ptr<Transport> server = (*server_factory)->Wrap(fds[0]);
+  std::unique_ptr<Transport> client = (*client_factory)->Wrap(fds[1]);
+  ASSERT_NE(server, nullptr);
+  ASSERT_NE(client, nullptr);
+  // Both ends are non-blocking; alternate handshake steps until done.
+  for (int step = 0; step < 100 && !(server->ready() && client->ready());
+       ++step) {
+    const IoOutcome c = client->Handshake().outcome;
+    const IoOutcome s = server->Handshake().outcome;
+    ASSERT_NE(c, IoOutcome::kError);
+    ASSERT_NE(s, IoOutcome::kError);
+  }
+  ASSERT_TRUE(server->ready() && client->ready());
+
+  client.reset();  // The peer goes away without a close_notify.
+  const std::string chunk(16 * 1024, 'x');
+  IoOutcome outcome = IoOutcome::kOk;
+  for (int i = 0; i < 1000 && outcome == IoOutcome::kOk; ++i) {
+    outcome = server->Write(chunk.data(), chunk.size()).outcome;
+  }
+  EXPECT_TRUE(outcome == IoOutcome::kClosed || outcome == IoOutcome::kError)
+      << static_cast<int>(outcome);
+  server->Shutdown();  // close_notify into the closed socket: no signal.
 }
 
 #else  // !CROWDPRICE_HAVE_OPENSSL
