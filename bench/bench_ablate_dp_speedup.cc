@@ -4,15 +4,168 @@
 // Checks: all three produce identical policies; the monotone search does
 // asymptotically less work (O(N + C log N) vs O(N C) per layer), with the
 // advantage growing in N.
+//
+// Second part -- the layer fan-out grain (pricing::kLayerFanOutGrain). A
+// solve fans a layer out across the foreground pool only when the layer's
+// estimated work (DeadlineTables::LayerWork, multiply-adds) clears the
+// grain. Two measurements, on a 21-price grid with supply ~2N and the
+// 50-price grid with lambda = 610 N / 200 (24 intervals each):
+//  * Layer probe: one Algorithm 1 layer scanned serially on the caller vs
+//    as a ParallelFor region on SolverPool::Foreground() with the solver's
+//    chunking, best-of-blocks wall and process CPU per layer. The smallest
+//    probed work from which on every fanned-out layer takes at most half
+//    the serial wall time is the record's layer_crossover_work. A region's
+//    cost (wake-ups, join) does not depend on what its body scans, so the
+//    crossover, in multiply-adds, holds for the monotone search's ranges
+//    too.
+//  * Whole solves, both algorithms, num_threads = 1 vs the default: wall
+//    and process CPU per solve, the plan's threads_used and the per-layer
+//    work estimate. Plans must be byte-identical; timings gate nothing.
 
+#include <time.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <functional>
 #include <iostream>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "choice/acceptance.h"
+#include "engine/solver_pool.h"
+#include "kernel/layer_scan.h"
+#include "kernel/pmf_arena.h"
 #include "pricing/deadline_dp.h"
+#include "pricing/serialization.h"
 #include "util/table.h"
 
 using namespace crowdprice;
+
+namespace {
+
+double CpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+double WallSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// Wall and process CPU seconds of one call.
+struct Cost {
+  double wall = 0.0;
+  double cpu = 0.0;
+};
+
+Cost Time(const std::function<void()>& fn) {
+  const double cpu = CpuSeconds();
+  const double wall = WallSeconds();
+  fn();
+  return {WallSeconds() - wall, CpuSeconds() - cpu};
+}
+
+// A rate grid of the grain sweep: its actions and its per-interval worker
+// mean at N tasks.
+struct GrainGrid {
+  const char* name;
+  pricing::ActionSet actions;
+  double (*lambda)(const pricing::ActionSet&, int n);
+};
+
+constexpr int kGrainIntervals = 24;
+
+double SupplyTwoN(const pricing::ActionSet& actions, int n) {
+  return 2.0 * n / (kGrainIntervals * actions.actions().back().acceptance);
+}
+
+double PaperLambda(const pricing::ActionSet&, int n) {
+  return 610.0 * n / 200.0;
+}
+
+struct LayerProbe {
+  int64_t work = 0;
+  double serial_us = 0.0;
+  double region_us = 0.0;
+  double region_cpu_us = 0.0;
+};
+
+// One Algorithm 1 layer at n tasks: serial scan vs a foreground region
+// chunked as SolveDeadlineDp chunks it. Best of `blocks` alternating
+// blocks of back-to-back layers.
+LayerProbe ProbeLayer(const GrainGrid& grid, int n, int blocks) {
+  const std::vector<double> lambdas(1, grid.lambda(grid.actions, n));
+  const pricing::DeadlineTables tables =
+      pricing::DeadlineTables::Build(lambdas, grid.actions, 1e-9).value();
+  std::vector<double> costs;
+  std::vector<int> bundles;
+  for (const pricing::PricingAction& a : grid.actions.actions()) {
+    costs.push_back(a.cost_per_task_cents);
+    bundles.push_back(a.bundle);
+  }
+  kernel::LayerTables layer;
+  layer.arena = tables.arena().get();
+  layer.tables = tables.table_ids().data();
+  layer.costs = costs.data();
+  layer.bundles = bundles.data();
+  layer.num_actions = static_cast<int>(costs.size());
+  std::vector<double> opt_next(static_cast<size_t>(n) + 1, 0.0);
+  for (int i = 1; i <= n; ++i) {
+    opt_next[static_cast<size_t>(i)] = 14.0 * i + (i % 7) * 0.3;
+  }
+  std::vector<double> opt_row(static_cast<size_t>(n) + 1, 0.0);
+  std::vector<int32_t> action_row(static_cast<size_t>(n) + 1, -1);
+
+  const kernel::LayerScanKernel* kern =
+      kernel::KernelRegistry::Global().Resolve("").value();
+  engine::SolverPool& pool = engine::SolverPool::Foreground();
+  const int threads = engine::SolverPool::DefaultThreads();
+  const int64_t chunks = std::min<int64_t>(n, threads * 8L);
+  const int64_t per_chunk = (n + chunks - 1) / chunks;
+  const std::function<void(int64_t)> scan_chunk = [&](int64_t chunk) {
+    const int lo = static_cast<int>(1 + chunk * per_chunk);
+    const int hi =
+        static_cast<int>(std::min<int64_t>(n, (chunk + 1) * per_chunk));
+    if (lo <= hi) {
+      kern->ScanLayer(layer, lo, hi, opt_next.data(), opt_row.data(),
+                      action_row.data());
+    }
+  };
+  const auto serial = [&] {
+    kern->ScanLayer(layer, 1, n, opt_next.data(), opt_row.data(),
+                    action_row.data());
+  };
+  const auto region = [&] {
+    pool.ParallelFor(chunks, scan_chunk, std::min(threads, pool.size() + 1));
+  };
+
+  // A block is a solve's worth of back-to-back layers (at least the sweep's
+  // interval count, and >= 10 ms of serial work), so the pool's workers
+  // are as warm as they are inside a solve.
+  const double one = Time(serial).wall;
+  const int reps = static_cast<int>(
+      std::clamp(1e-2 / std::max(one, 1e-7), double{kGrainIntervals}, 1e5));
+  LayerProbe probe;
+  probe.work = tables.LayerWork(0, n, /*monotone=*/false);
+  probe.serial_us = probe.region_us = probe.region_cpu_us = 1e30;
+  for (int b = 0; b < blocks; ++b) {
+    const Cost s = Time([&] { for (int r = 0; r < reps; ++r) serial(); });
+    const Cost p = Time([&] { for (int r = 0; r < reps; ++r) region(); });
+    probe.serial_us = std::min(probe.serial_us, 1e6 * s.wall / reps);
+    probe.region_us = std::min(probe.region_us, 1e6 * p.wall / reps);
+    probe.region_cpu_us = std::min(probe.region_cpu_us, 1e6 * p.cpu / reps);
+  }
+  return probe;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bench::Init(argc, argv);
@@ -87,12 +240,144 @@ int main(int argc, char** argv) {
   bench::Check(speedup_last > speedup_first,
                "the advantage of Algorithm 2 grows with N");
 
-  (void)bench::BenchRecord("ablate_dp_speedup")
-      .Param("N_max", sizes[4])
+  bench::BenchRecord record("ablate_dp_speedup");
+  record.Param("N_max", sizes[4])
       .Param("T", 24)
       .Param("max_price", 50)
       .Metric("alg2_eval_speedup_at_nmax", speedup_last)
-      .Label("policy_source", "engine::Solve")
-      .Write();
+      .Label("policy_source", "engine::Solve");
+
+  // ---------------------------------------------------------------------
+  // The layer fan-out grain.
+  const int hw = engine::SolverPool::DefaultThreads();
+  std::cout << "\n=== Layer fan-out grain (" << hw
+            << " hardware threads, grain " << pricing::kLayerFanOutGrain
+            << " multiply-adds) ===\n\n";
+  const std::vector<GrainGrid> grids = {
+      {"g21", pricing::ActionSet::FromPriceGrid(20, acceptance).value(),
+       SupplyTwoN},
+      {"g50", actions, PaperLambda},
+  };
+  const std::vector<int> grain_sizes =
+      bench::Smoke() ? std::vector<int>{200, 800}
+                     : std::vector<int>{100, 200, 400, 800, 1600, 3200};
+  const int blocks = bench::SmokeN(7, 2);
+  record.Param("hw_threads", hw)
+      .Param("grain", static_cast<double>(pricing::kLayerFanOutGrain))
+      .Param("grain_intervals", kGrainIntervals);
+
+  Table probe_table({"grid", "N", "layer work", "serial us", "region us",
+                     "region CPU us", "wall speedup"});
+  std::vector<LayerProbe> probes;
+  for (const GrainGrid& grid : grids) {
+    for (int n : grain_sizes) {
+      const LayerProbe p = ProbeLayer(grid, n, blocks);
+      probes.push_back(p);
+      bench::DieOnError(
+          probe_table.AddRow(
+              {grid.name, StringF("%d", n),
+               StringF("%lld", static_cast<long long>(p.work)),
+               StringF("%.1f", p.serial_us), StringF("%.1f", p.region_us),
+               StringF("%.1f", p.region_cpu_us),
+               StringF("%.2fx", p.serial_us / p.region_us)}),
+          "probe row");
+      const std::string key = StringF("layer_%s_n%d_", grid.name, n);
+      record.Metric(key + "work", static_cast<double>(p.work))
+          .Metric(key + "serial_us", p.serial_us)
+          .Metric(key + "region_us", p.region_us)
+          .Metric(key + "region_cpu_us", p.region_cpu_us);
+    }
+  }
+  probe_table.Print(std::cout);
+  // The crossover: the least probed work from which on every probed layer
+  // at least as big runs >= 2x faster fanned out.
+  std::sort(probes.begin(), probes.end(),
+            [](const LayerProbe& a, const LayerProbe& b) {
+              return a.work < b.work;
+            });
+  double crossover = -1.0;
+  for (size_t i = probes.size(); i-- > 0;) {
+    if (probes[i].region_us * 2.0 > probes[i].serial_us) break;
+    crossover = static_cast<double>(probes[i].work);
+  }
+  std::cout << StringF("\nlayer crossover (fanned out >= 2x faster from here "
+                       "on): %s\n\n",
+                       crossover < 0 ? "none probed"
+                                     : StringF("%.0f multiply-adds",
+                                               crossover).c_str());
+  record.Metric("layer_crossover_work", crossover);
+
+  Table solve_table({"alg", "grid", "N", "layer work", "threads",
+                     "serial ms", "serial CPU", "default ms", "default CPU",
+                     "plans equal"});
+  bool solves_identical = true;
+  const int solve_reps = bench::SmokeN(3, 1);
+  for (const auto algorithm : {engine::DeadlineDpSpec::Algorithm::kSimple,
+                               engine::DeadlineDpSpec::Algorithm::kImproved}) {
+    const bool simple = algorithm == engine::DeadlineDpSpec::Algorithm::kSimple;
+    for (const GrainGrid& grid : grids) {
+      for (int n : grain_sizes) {
+        pricing::DeadlineProblem problem;
+        problem.num_tasks = n;
+        problem.num_intervals = kGrainIntervals;
+        problem.penalty_cents = 200.0;
+        const std::vector<double> lambdas(kGrainIntervals,
+                                          grid.lambda(grid.actions, n));
+        engine::DeadlineDpSpec spec =
+            bench::MakeDeadlineSpec(problem, lambdas, grid.actions, algorithm);
+        const int64_t work =
+            pricing::DeadlineTables::Build(lambdas, grid.actions, 1e-9)
+                .value()
+                .LayerWork(0, n, !simple);
+        Cost serial{1e30, 1e30}, parallel{1e30, 1e30};
+        std::string serial_bytes, parallel_bytes;
+        int threads_used = 0;
+        for (int r = 0; r < solve_reps; ++r) {
+          for (const int threads : {1, 0}) {
+            spec.dp_options.num_threads = threads;
+            std::optional<engine::PolicyArtifact> art;
+            const Cost c =
+                Time([&] { art = bench::SolveOrDie(spec, "grain solve"); });
+            const pricing::DeadlinePlan& plan = **art->deadline_plan();
+            Cost& best = threads == 1 ? serial : parallel;
+            best.wall = std::min(best.wall, c.wall);
+            best.cpu = std::min(best.cpu, c.cpu);
+            if (r == 0) {
+              (threads == 1 ? serial_bytes : parallel_bytes) =
+                  pricing::SerializePlan(plan);
+              if (threads == 0) threads_used = plan.threads_used;
+            }
+          }
+        }
+        const bool equal = serial_bytes == parallel_bytes;
+        solves_identical = solves_identical && equal;
+        bench::DieOnError(
+            solve_table.AddRow(
+                {simple ? "1" : "2", grid.name, StringF("%d", n),
+                 StringF("%lld", static_cast<long long>(work)),
+                 StringF("%d", threads_used),
+                 StringF("%.2f", 1e3 * serial.wall),
+                 StringF("%.2f", 1e3 * serial.cpu),
+                 StringF("%.2f", 1e3 * parallel.wall),
+                 StringF("%.2f", 1e3 * parallel.cpu), equal ? "yes" : "NO"}),
+            "solve row");
+        const std::string key =
+            StringF("solve_alg%d_%s_n%d_", simple ? 1 : 2, grid.name, n);
+        record.Metric(key + "layer_work", static_cast<double>(work))
+            .Metric(key + "threads_used", threads_used)
+            .Metric(key + "serial_ms", 1e3 * serial.wall)
+            .Metric(key + "serial_cpu_ms", 1e3 * serial.cpu)
+            .Metric(key + "default_ms", 1e3 * parallel.wall)
+            .Metric(key + "default_cpu_ms", 1e3 * parallel.cpu);
+      }
+    }
+  }
+  solve_table.Print(std::cout);
+  std::cout << "\n";
+  bench::Check(solves_identical,
+               "serial and default-thread solves produce byte-identical "
+               "plans on every grain-sweep instance");
+
+  (void)record.Write();
   return bench::Finish();
 }

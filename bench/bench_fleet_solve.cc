@@ -20,10 +20,12 @@
 // against outright pathology.
 //
 // Part 3 -- re-solve storm: DecideBatch p99 while a ResolveLane floods the
-// farm with rescale triggers, against the quiet p99 of the same map. The
-// farm runs at background priority and artifact swaps publish RCU
-// snapshots, so the storm must not degrade serving p99 by more than 2x on
-// a full run (16x collapse-only in smoke).
+// farm with rescale triggers, against the quiet p99 of the same map. Quiet
+// and storm pass sets alternate over five repeats and the gate compares
+// the median per-repeat p99s, so a stretch of host steal hits both arms
+// instead of one. The farm runs at background priority and artifact swaps
+// publish RCU snapshots, so the storm must not degrade serving p99 by more
+// than 2x on a full run (16x collapse-only in smoke).
 //
 // Emits BENCH_fleet_solve.json; check_bench_json re-derives the gates.
 
@@ -369,25 +371,24 @@ int main(int argc, char** argv) {
     return ms;
   };
 
-  const double p99_quiet = Percentile(time_passes(), 0.99);
-
   // Storm: a background-priority farm chews re-solves while the same
-  // passes are timed. The lane coalesces per campaign, so keep re-arming
-  // until the timed passes finish.
+  // passes are timed. Quiet and storm pass sets alternate kRepeats times,
+  // so host-wide stalls (steal, a noisy neighbour) land on both arms; the
+  // gate compares the medians of the per-repeat p99s.
   engine::SolverPool storm_pool(static_cast<int>(hw_threads),
                                 /*background=*/true);
   serving::ResolveLane lane(&map, &storm_pool);
-  // Prime the farm synchronously (one re-solve per campaign) so the timed
-  // passes are guaranteed to overlap live solving, then keep re-arming
-  // from a storm thread for as long as the timing runs.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    bench::DieOnError(lane.EnqueueRescale(ids[i], i % 2 == 0 ? 1.3 : 0.77),
-                      "storm prime");
-  }
+  std::atomic<bool> storming{false};
   std::atomic<bool> storm_done{false};
-  std::thread storm([&lane, &ids, &storm_done] {
+  // The lane coalesces per campaign, so the storm thread keeps re-arming
+  // while a storm set is timed.
+  std::thread storm([&lane, &ids, &storming, &storm_done] {
     uint64_t i = 0;
     while (!storm_done.load(std::memory_order_relaxed)) {
+      if (!storming.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;
+      }
       const double factor = i % 2 == 0 ? 1.3 : 0.77;
       (void)lane.EnqueueRescale(ids[i % ids.size()], factor);
       ++i;
@@ -396,18 +397,35 @@ int main(int argc, char** argv) {
       }
     }
   });
-  const double p99_storm = Percentile(time_passes(), 0.99);
+  const int kRepeats = 5;
+  record.Param("storm_repeats", kRepeats);
+  std::vector<double> quiet_p99s, storm_p99s;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    quiet_p99s.push_back(Percentile(time_passes(), 0.99));
+    // Prime the farm synchronously (one re-solve per campaign) so the
+    // timed passes are guaranteed to overlap live solving.
+    for (size_t i = 0; i < ids.size(); ++i) {
+      bench::DieOnError(lane.EnqueueRescale(ids[i], i % 2 == 0 ? 1.3 : 0.77),
+                        "storm prime");
+    }
+    storming.store(true, std::memory_order_relaxed);
+    storm_p99s.push_back(Percentile(time_passes(), 0.99));
+    storming.store(false, std::memory_order_relaxed);
+    lane.Drain();
+  }
   storm_done.store(true, std::memory_order_relaxed);
   storm.join();
   lane.Drain();
+  const double p99_quiet = Percentile(quiet_p99s, 0.5);
+  const double p99_storm = Percentile(storm_p99s, 0.5);
 
   const serving::ResolveLane::Stats lane_stats = lane.stats();
   const double ratio = p99_quiet > 0.0 ? p99_storm / p99_quiet : 0.0;
   std::cout << StringF(
       "\nserving %d campaigns: DecideBatch p99 %.3f ms quiet, %.3f ms "
-      "under re-solve storm (%.2fx; %lld re-solves landed, %lld "
-      "coalesced)\n",
-      kServed, p99_quiet, p99_storm, ratio,
+      "under re-solve storm (medians of %d alternating repeats; %.2fx; %lld "
+      "re-solves landed, %lld coalesced)\n",
+      kServed, p99_quiet, p99_storm, kRepeats, ratio,
       static_cast<long long>(lane_stats.swapped),
       static_cast<long long>(lane_stats.coalesced));
   bench::Check(lane_stats.swapped > 0, "the storm actually re-solved and "

@@ -18,8 +18,9 @@
 // (SCHED_IDLE on Linux, best-effort elsewhere), so a re-solve storm yields
 // the CPU to latency-sensitive threads -- the serving path keeps its p99
 // while the farm churns. Foreground() runs at normal priority and carries
-// the latency-sensitive regions: a solve's DP layer scans and the shard
-// map's batch passes.
+// the latency-sensitive regions: the shard map's batch passes and those
+// DP layer scans big enough to pay for a region (a layer under
+// pricing::kLayerFanOutGrain scans inline on the solving thread).
 //
 // Jobs must not throw and must not block on other jobs' completion
 // (SolveWave only ever waits while also draining via TryRunOne).
@@ -83,8 +84,8 @@ class SolverPool {
 
   /// Process-wide foreground pool: DefaultThreads() - 1 normal-priority
   /// workers (at least 1; the caller of a region is the remaining thread),
-  /// started on first use. Runs the DP layer scans and the shard map's
-  /// batch passes.
+  /// started on first use. Runs the shard map's batch passes and each DP
+  /// layer scan whose estimated work clears pricing::kLayerFanOutGrain.
   static SolverPool& Foreground();
 
  private:

@@ -19,8 +19,6 @@ namespace crowdprice::pricing {
 
 namespace {
 
-// Below this many states a layer scan is not worth fanning out.
-constexpr int kParallelMinTasks = 256;
 // Smallest monotone n-range handed to a worker as one task.
 constexpr int kParallelMinRange = 32;
 
@@ -123,8 +121,21 @@ Result<DeadlineTables> DeadlineTables::Build(
     out.table_ids_.push_back(arena.TableOf(i));
   }
   out.arena_ = std::make_shared<const kernel::PmfArena>(std::move(arena));
+  out.num_actions_ = static_cast<int>(actions.size());
   out.grid_key_ = GridKey(interval_lambdas, actions, truncation_epsilon);
   return out;
+}
+
+int64_t DeadlineTables::LayerWork(int interval, int num_tasks,
+                                  bool monotone) const {
+  const int* ids =
+      table_ids_.data() + static_cast<size_t>(interval) * num_actions_;
+  int64_t terms = 0;
+  for (int a = 0; a < num_actions_; ++a) {
+    const int64_t len = std::min(arena_->View(ids[a]).len, num_tasks);
+    terms = monotone ? std::max(terms, len) : terms + len;
+  }
+  return terms * num_tasks;
 }
 
 std::string DeadlineTables::GridKey(
@@ -183,14 +194,15 @@ Result<DeadlinePlan> SolveDeadlineDp(
   const int requested_threads = options.num_threads > 0
                                     ? options.num_threads
                                     : engine::SolverPool::DefaultThreads();
-  const bool parallel = requested_threads > 1 && num_tasks >= kParallelMinTasks;
   // The decomposition (chunk and range counts) follows the request so it is
-  // machine-independent; actual participation is capped by the pool, and
-  // threads_used reports that honest figure. A serial solve is the same
-  // code with one chunk (one unsplit range), which ParallelFor runs inline.
+  // machine-independent; actual participation is capped by the pool.
   const int effective_threads =
-      parallel ? std::min(requested_threads, pool.size() + 1) : 1;
-  std::atomic<int64_t> evals{0};
+      requested_threads > 1 ? std::min(requested_threads, pool.size() + 1)
+                            : 1;
+  // The largest number of threads any layer's region ran on.
+  int threads_used = 1;
+  int64_t evals = 0;
+  std::atomic<int64_t> range_evals{0};  // summed by the monotone regions
 
   // All of the solve's pmf tables in one aligned arena, built (unless the
   // caller handed them in) before any layer work so the scans and their
@@ -213,7 +225,8 @@ Result<DeadlinePlan> SolveDeadlineDp(
   }
 
   // One layer's scan state, read by the two region bodies below, which are
-  // built once per solve; each layer reassigns the state and runs one region.
+  // built once per solve; each fanned-out layer reassigns the state and
+  // runs one region.
   kernel::LayerTables layer;
   layer.arena = tables->arena().get();
   layer.costs = costs.data();
@@ -228,7 +241,7 @@ Result<DeadlinePlan> SolveDeadlineDp(
   // States within a layer are independent; chunk [1, N] across the pool.
   // Costs grow with n, so chunks are kept small for balance.
   const int64_t chunks =
-      parallel ? std::min<int64_t>(num_tasks, requested_threads * 8L) : 1;
+      std::min<int64_t>(num_tasks, static_cast<int64_t>(requested_threads) * 8);
   const int64_t per_chunk = (num_tasks + chunks - 1) / chunks;
   const std::function<void(int64_t)> scan_chunk = [&](int64_t chunk) {
     const int lo = static_cast<int>(1 + chunk * per_chunk);
@@ -236,18 +249,23 @@ Result<DeadlinePlan> SolveDeadlineDp(
         std::min<int64_t>(num_tasks, (chunk + 1) * per_chunk));
     if (lo > hi) return;
     kern->ScanLayer(layer, lo, hi, opt_next, opt_row, action_row);
-    evals.fetch_add(static_cast<int64_t>(hi - lo + 1) * num_actions,
-                    std::memory_order_relaxed);
   };
   const std::function<void(int64_t)> scan_range = [&](int64_t i) {
     const MonotoneRange& r = ranges[static_cast<size_t>(i)];
-    int64_t range_evals = 0;
+    int64_t local = 0;
     SolveRangeMonotone(*kern, layer, r.n_lo, r.n_hi, r.a_lo, r.a_hi, opt_next,
-                       cap_row, opt_row, action_row, &range_evals);
-    evals.fetch_add(range_evals, std::memory_order_relaxed);
+                       cap_row, opt_row, action_row, &local);
+    range_evals.fetch_add(local, std::memory_order_relaxed);
   };
-  const size_t target_ranges =
-      parallel ? static_cast<size_t>(requested_threads) * 4 : 1;
+  const size_t target_ranges = static_cast<size_t>(requested_threads) * 4;
+  // Runs one fanned-out layer's region and records its participation.
+  const auto fan_out = [&](int64_t count,
+                           const std::function<void(int64_t)>& body) {
+    pool.ParallelFor(count, body, effective_threads);
+    threads_used = std::max<int>(
+        threads_used, static_cast<int>(std::min<int64_t>(effective_threads,
+                                                         count)));
+  };
 
   for (int t = nt - 1; t >= 0; --t) {
     layer.tables =
@@ -257,21 +275,35 @@ Result<DeadlinePlan> SolveDeadlineDp(
     opt_next = plan.OptLayer(t + 1);
     opt_row = plan.MutableOptLayer(t);
     action_row = plan.MutableActionLayer(t);
-    // Opt(0, t) stays 0 (initialized by the plan constructor).
+    // Opt(0, t) stays 0 (initialized by the plan constructor). A layer
+    // whose work is under the grain runs its serial scan inline: a region's
+    // wake-ups and join would cost more than they save.
+    const bool parallel =
+        effective_threads > 1 &&
+        tables->LayerWork(t, num_tasks, monotone) >= kLayerFanOutGrain;
     if (!monotone) {
-      pool.ParallelFor(chunks, scan_chunk, effective_threads);
+      if (parallel) {
+        fan_out(chunks, scan_chunk);
+      } else {
+        kern->ScanLayer(layer, 1, num_tasks, opt_next, opt_row, action_row);
+      }
+      evals += static_cast<int64_t>(num_tasks) * num_actions;
       continue;
     }
     cap_row = options.time_monotonicity_pruning && t < nt - 1
                   ? plan.ActionLayer(t + 1)
                   : nullptr;
+    if (!parallel) {
+      SolveRangeMonotone(*kern, layer, 1, num_tasks, 0, num_actions - 1,
+                         opt_next, cap_row, opt_row, action_row, &evals);
+      continue;
+    }
     // Expand the top of the recursion tree sequentially: solving a range's
     // midpoint splits it into two independent subranges (their price
     // brackets only depend on already-solved states), so once enough
     // disjoint subranges exist they fan out across the pool. Each state
     // sees exactly the bracket the sequential recursion would give it, so
     // the plan is bit-identical to a serial solve (one unsplit range).
-    int64_t local = 0;
     ranges.assign(1, {1, num_tasks, 0, num_actions - 1});
     while (ranges.size() < target_ranges) {
       size_t widest = ranges.size();
@@ -287,17 +319,15 @@ Result<DeadlinePlan> SolveDeadlineDp(
       const int m = r.n_lo + (r.n_hi - r.n_lo) / 2;
       const kernel::BestAction best =
           SolveMonotoneState(*kern, layer, m, r.a_lo, r.a_hi, opt_next,
-                             cap_row, opt_row, action_row, &local);
+                             cap_row, opt_row, action_row, &evals);
       ranges[widest] = {r.n_lo, m - 1, r.a_lo, best.index};
       ranges.push_back({m + 1, r.n_hi, best.index, r.a_hi});
     }
-    evals.fetch_add(local, std::memory_order_relaxed);
-    pool.ParallelFor(static_cast<int64_t>(ranges.size()), scan_range,
-                     effective_threads);
+    fan_out(static_cast<int64_t>(ranges.size()), scan_range);
   }
 
-  plan.action_evaluations = evals.load();
-  plan.threads_used = effective_threads;
+  plan.action_evaluations = evals + range_evals.load();
+  plan.threads_used = threads_used;
   plan.poisson_tables_built = tables->arena()->tables_built();
   plan.poisson_table_reuses = tables->arena()->table_reuses();
   plan.kernel_backend = kern->name();

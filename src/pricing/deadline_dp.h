@@ -32,6 +32,7 @@
 #ifndef CROWDPRICE_PRICING_DEADLINE_DP_H_
 #define CROWDPRICE_PRICING_DEADLINE_DP_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,9 +56,12 @@ struct DpOptions {
   /// Parallelism cap for the per-layer state scans. 0 picks
   /// hardware_concurrency; 1 forces a serial solve; higher values are
   /// additionally capped by the calling thread plus the foreground job
-  /// pool's workers (engine::SolverPool::Foreground(); the plan's
-  /// threads_used field reports the actual figure). The produced plan is
-  /// bit-identical at every thread count.
+  /// pool's workers (engine::SolverPool::Foreground()). Only a layer whose
+  /// estimated work (DeadlineTables::LayerWork) clears kLayerFanOutGrain
+  /// fans out; smaller layers scan serially on the caller, so a solve of
+  /// small layers runs serially at any cap. The plan's threads_used field
+  /// reports the most threads any layer actually ran on. The produced plan
+  /// is bit-identical at every thread count.
   int num_threads = 0;
   /// LayerScanKernel backend for the inner scans ("scalar", "avx2",
   /// "neon", ...). Empty selects the $CROWDPRICE_KERNEL override when set,
@@ -110,13 +114,35 @@ class DeadlineTables {
   /// Arena table id per (interval, action), interval-major.
   const std::vector<int>& table_ids() const { return table_ids_; }
 
+  /// Estimated multiply-adds of one layer scan at `num_tasks` remaining:
+  /// an (n, action) evaluation sums min(n, len) pmf terms, counted here as
+  /// min(N, len) for the action's table. Algorithm 1 evaluates every action
+  /// at every state (the sum over the layer's actions); the monotone search
+  /// about one per state (their max). Requires 0 <= interval < the grid's
+  /// interval count.
+  int64_t LayerWork(int interval, int num_tasks, bool monotone) const;
+
  private:
   DeadlineTables() = default;
 
   std::shared_ptr<const kernel::PmfArena> arena_;
   std::vector<int> table_ids_;
+  int num_actions_ = 0;
   std::string grid_key_;
 };
+
+/// The least LayerWork at which a deadline solve fans a layer out across
+/// the foreground pool; smaller layers scan serially on the caller, with no
+/// region. A region costs wake-ups and a join, tens of microseconds of wall
+/// time and more of CPU, so a layer fans out only from where
+/// bench_ablate_dp_speedup measures a fanned-out layer scan at least 2x
+/// faster than the serial one. Its record's layer_crossover_work read
+/// 420,800 and 570,400 multiply-adds (a ~130-200 us layer) in two runs on
+/// a 4-vCPU x86 VM; the grain is the power of two between them. The
+/// on-the-fly bound solves (N <= 1000, 72 intervals, supply ~2N) stay
+/// under 100,000 and run serially; Algorithm 1 at N = 2000 on the
+/// 50-price grid (~7.7M per layer) fans out.
+inline constexpr int64_t kLayerFanOutGrain = int64_t{1} << 19;
 
 /// The backward-induction price search a deadline solve runs.
 enum class DpAlgorithm {

@@ -1,11 +1,14 @@
 #include "pricing/deadline_dp.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "choice/acceptance.h"
+#include "kernel/pmf_arena.h"
 #include "stats/poisson.h"
 #include "util/rng.h"
 
@@ -310,6 +313,33 @@ TEST(DeadlineTablesTest, BuildValidatesTheGrid) {
   EXPECT_TRUE(DeadlineTables::Build({100.0}, actions, 1.0)
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(DeadlineTablesTest, LayerWorkCountsCappedTableLengths) {
+  // A heavy and a light interval: the heavy one's tables are longer than a
+  // small N, so the cap at N matters there.
+  const auto actions = ActionSet::FromPriceGrid(10, PaperAcceptance()).value();
+  const int num_actions = static_cast<int>(actions.size());
+  const DeadlineTables tables =
+      DeadlineTables::Build({400000.0, 900.0}, actions, 1e-9).value();
+  for (int t = 0; t < 2; ++t) {
+    for (const int n : {20, 5000}) {
+      int64_t sum = 0, max = 0;
+      for (int a = 0; a < num_actions; ++a) {
+        const int len =
+            tables.arena()->View(tables.table_ids()[t * num_actions + a]).len;
+        sum += std::min(len, n);
+        max = std::max<int64_t>(max, std::min(len, n));
+      }
+      EXPECT_EQ(tables.LayerWork(t, n, /*monotone=*/false), sum * n);
+      EXPECT_EQ(tables.LayerWork(t, n, /*monotone=*/true), max * n);
+    }
+  }
+  // The heavy interval's longest table is capped at N = 20; the light
+  // interval's actions differ in length, so the sum exceeds the max.
+  EXPECT_EQ(tables.LayerWork(0, 20, /*monotone=*/true), 20 * 20);
+  EXPECT_GT(tables.LayerWork(1, 5000, /*monotone=*/false),
+            tables.LayerWork(1, 5000, /*monotone=*/true));
 }
 
 // --- Equivalence & monotonicity property sweep ------------------------------

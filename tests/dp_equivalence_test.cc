@@ -5,7 +5,8 @@
 // check, over randomized instances, that Algorithm 1 and Algorithm 2 (with
 // and without time-monotonicity pruning) produce identical plans -- and
 // that the pool-parallel layer scans are bit-identical to a serial solve,
-// whatever the thread count.
+// whatever the thread count, and that layers under the fan-out grain never
+// open a region.
 
 #include "pricing/deadline_dp.h"
 
@@ -18,6 +19,7 @@
 #include "choice/acceptance.h"
 #include "engine/solver_pool.h"
 #include "kernel/layer_scan.h"
+#include "pricing/serialization.h"
 #include "util/rng.h"
 
 namespace crowdprice::pricing {
@@ -141,16 +143,24 @@ TEST(DpEquivalenceTest, BackendsBitIdenticalToScalar) {
 }
 
 TEST(DpEquivalenceTest, ParallelSolvesAreBitIdenticalToSerial) {
-  // N must clear the solver's internal parallelism threshold, and the
-  // thread counts straddle hardware_concurrency on any machine.
+  // Every layer of both algorithms must clear the solver's fan-out grain
+  // (asserted below; a heavy-supply market at N = 1000), and the thread
+  // counts straddle hardware_concurrency on any machine.
   auto acceptance = choice::LogitAcceptance::Paper2014();
   auto actions = ActionSet::FromPriceGrid(35, acceptance);
   ASSERT_TRUE(actions.ok());
   DeadlineProblem problem;
-  problem.num_tasks = 600;
+  problem.num_tasks = 1000;
   problem.num_intervals = 8;
   problem.penalty_cents = 150.0;
-  const std::vector<double> lambdas(8, 240.0);
+  const std::vector<double> lambdas(8, 80000.0);
+  const DeadlineTables tables =
+      DeadlineTables::Build(lambdas, *actions, problem.truncation_epsilon)
+          .value();
+  for (const bool monotone : {false, true}) {
+    EXPECT_GE(tables.LayerWork(0, problem.num_tasks, monotone),
+              kLayerFanOutGrain);
+  }
 
   for (const std::string& backend :
        kernel::KernelRegistry::Global().Available()) {
@@ -183,6 +193,45 @@ TEST(DpEquivalenceTest, ParallelSolvesAreBitIdenticalToSerial) {
         // The parallel decomposition must not change the work done either.
         EXPECT_EQ(plan->action_evaluations, baseline->action_evaluations);
       }
+    }
+  }
+}
+
+TEST(DpEquivalenceTest, LayersUnderTheGrainScanSeriallyAtAnyThreadCount) {
+  // N = 600 and a light market: no layer of either algorithm reaches the
+  // fan-out grain, so every request runs the serial scan on the caller.
+  auto acceptance = choice::LogitAcceptance::Paper2014();
+  auto actions = ActionSet::FromPriceGrid(35, acceptance);
+  ASSERT_TRUE(actions.ok());
+  DeadlineProblem problem;
+  problem.num_tasks = 600;
+  problem.num_intervals = 8;
+  problem.penalty_cents = 150.0;
+  const std::vector<double> lambdas(8, 240.0);
+  const DeadlineTables tables =
+      DeadlineTables::Build(lambdas, *actions, problem.truncation_epsilon)
+          .value();
+  for (const bool monotone : {false, true}) {
+    SCOPED_TRACE(monotone ? "monotone" : "simple");
+    EXPECT_LT(tables.LayerWork(0, problem.num_tasks, monotone),
+              kLayerFanOutGrain);
+    std::string serial_bytes;
+    int64_t serial_evals = 0;
+    for (const int threads : {1, 2, 4, 8}) {
+      DpOptions options;
+      options.num_threads = threads;
+      auto plan = SolveDeadlineDp(
+          problem, lambdas, *actions,
+          monotone ? DpAlgorithm::kImproved : DpAlgorithm::kSimple, options);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      EXPECT_EQ(plan->threads_used, 1) << threads << " threads";
+      if (threads == 1) {
+        serial_bytes = SerializePlan(*plan);
+        serial_evals = plan->action_evaluations;
+        continue;
+      }
+      EXPECT_EQ(SerializePlan(*plan), serial_bytes) << threads << " threads";
+      EXPECT_EQ(plan->action_evaluations, serial_evals);
     }
   }
 }

@@ -332,6 +332,56 @@ TEST(PenaltySearchTest, SharedTablesMatchFreshSolves) {
   }
 }
 
+TEST(PenaltySearchTest, ThreadCountsGiveByteIdenticalSearches) {
+  // A heavy-supply grid whose layers clear the solver's fan-out grain for
+  // both algorithms, and a light one whose layers do not.
+  auto acc = Paper();
+  auto actions = ActionSet::FromPriceGrid(35, acc).value();
+  struct Grid {
+    const char* name;
+    int num_tasks;
+    std::vector<double> lambdas;
+    bool clears_grain;
+  };
+  const Grid grids[] = {
+      {"heavy", 800, std::vector<double>(6, 80000.0), true},
+      {"light", 40, std::vector<double>(6, 3000.0), false},
+  };
+  for (const Grid& grid : grids) {
+    DeadlineProblem p;
+    p.num_tasks = grid.num_tasks;
+    p.num_intervals = static_cast<int>(grid.lambdas.size());
+    const DeadlineTables tables =
+        DeadlineTables::Build(grid.lambdas, actions, p.truncation_epsilon)
+            .value();
+    for (bool simple : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << grid.name << ", "
+                   << (simple ? "Algorithm 1" : "Algorithm 2"));
+      EXPECT_EQ(tables.LayerWork(0, p.num_tasks, !simple) >= kLayerFanOutGrain,
+                grid.clears_grain);
+      BoundSolveOptions options;
+      options.use_simple_dp = simple;
+      options.dp_options.num_threads = 1;
+      const BoundSolveResult serial =
+          SolveForExpectedRemaining(p, grid.lambdas, actions, 0.5, options)
+              .value();
+      EXPECT_EQ(serial.plan.threads_used, 1);
+      for (const int threads : {2, 4}) {
+        options.dp_options.num_threads = threads;
+        const BoundSolveResult got =
+            SolveForExpectedRemaining(p, grid.lambdas, actions, 0.5, options)
+                .value();
+        EXPECT_EQ(got.plan.threads_used > 1, grid.clears_grain)
+            << threads << " threads";
+        EXPECT_EQ(got.penalty_used, serial.penalty_used);
+        EXPECT_EQ(got.dp_solves, serial.dp_solves);
+        EXPECT_EQ(SerializePlan(got.plan), SerializePlan(serial.plan));
+      }
+    }
+  }
+}
+
 TEST(PenaltySearchTest, RefusesTablesOfAnotherGrid) {
   auto acc = Paper();
   auto actions = ActionSet::FromPriceGrid(40, acc).value();

@@ -346,6 +346,9 @@ const std::vector<BenchRequirements>& KnownBenches() {
         "p99_overhead_vs_direct"},
        {"sheets_per_sec_backends_", "p50_ms_backends_", "p99_ms_backends_",
         "p99_overhead_vs_direct_backends_"}},
+      {"ablate_dp_speedup",
+       {"alg2_eval_speedup_at_nmax", "layer_crossover_work"},
+       {"layer_", "solve_alg1_", "solve_alg2_"}},
       {"fleet_solve",
        {"wave_seconds", "sequential_solve_seconds", "eval_sequential_seconds",
         "eval_batched_seconds", "eval_batched_speedup", "decide_p99_quiet_ms",
