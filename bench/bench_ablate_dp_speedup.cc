@@ -262,8 +262,7 @@ int main(int argc, char** argv) {
       bench::Smoke() ? std::vector<int>{200, 800}
                      : std::vector<int>{100, 200, 400, 800, 1600, 3200};
   const int blocks = bench::SmokeN(7, 2);
-  record.Param("hw_threads", hw)
-      .Param("grain", static_cast<double>(pricing::kLayerFanOutGrain))
+  record.Param("grain", static_cast<double>(pricing::kLayerFanOutGrain))
       .Param("grain_intervals", kGrainIntervals);
 
   Table probe_table({"grid", "N", "layer work", "serial us", "region us",

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -62,6 +63,11 @@ inline void Init(int argc, char** argv) {
 /// replicate counts, trial counts and grid sizes.
 inline int SmokeN(int full, int reduced) {
   return g_smoke ? std::min(full, reduced) : full;
+}
+
+/// Hardware threads of the measuring host (at least 1).
+inline unsigned HwThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 /// Prints "CHECK PASS/FAIL: <claim>" and tracks failures for the exit code.
@@ -184,7 +190,9 @@ inline engine::BudgetStaticSpec MakeBudgetSpec(
 /// One benchmark measurement, persisted as BENCH_<name>.json so future PRs
 /// have a perf trajectory to regress against. Numbers only (params like
 /// N/T/epsilon, metrics like wall seconds / state evaluations) plus string
-/// labels (solver name, mode).
+/// labels (solver name, mode). Every record states the host's hw_threads
+/// and whether it is a smoke run, so a gate can tell a full record from a
+/// smoke one and a wide host from a narrow one.
 class BenchRecord {
  public:
   explicit BenchRecord(std::string name) : name_(std::move(name)) {}
@@ -202,11 +210,16 @@ class BenchRecord {
     return *this;
   }
 
-  /// Serializes to one JSON object (stable key order: insertion order).
+  /// Serializes to one JSON object (stable key order: hw_threads and smoke,
+  /// then insertion order).
   std::string ToJson() const {
+    std::vector<std::pair<std::string, double>> params = {
+        {"hw_threads", static_cast<double>(HwThreads())},
+        {"smoke", Smoke() ? 1.0 : 0.0}};
+    params.insert(params.end(), params_.begin(), params_.end());
     std::string out = "{\n";
     out += StringF("  \"bench\": \"%s\",\n", Escaped(name_).c_str());
-    out += "  \"params\": {" + Numbers(params_) + "},\n";
+    out += "  \"params\": {" + Numbers(params) + "},\n";
     out += "  \"metrics\": {" + Numbers(metrics_) + "},\n";
     out += "  \"labels\": {";
     for (size_t i = 0; i < labels_.size(); ++i) {

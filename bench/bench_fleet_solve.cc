@@ -47,7 +47,9 @@
 #include "pricing/policy_eval.h"
 #include "serving/campaign_shard_map.h"
 #include "serving/resolve_lane.h"
+#include "stats/descriptive.h"
 #include "stats/poisson.h"
+#include "util/latency_histogram.h"
 #include "util/stringf.h"
 #include "util/table.h"
 
@@ -140,14 +142,6 @@ double LegacyNominalEvaluate(const pricing::DeadlinePlan& plan) {
   return expected_cost;
 }
 
-double Percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(idx, samples.size() - 1)];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,8 +154,7 @@ int main(int argc, char** argv) {
   bench::DieOnError(actions_result.status(), "action grid");
   const pricing::ActionSet actions = std::move(actions_result).value();
 
-  const unsigned hw_threads =
-      std::max(1u, std::thread::hardware_concurrency());
+  const unsigned hw_threads = bench::HwThreads();
   const int kCampaigns = bench::SmokeN(10000, 192);
 
   bench::BenchRecord record("fleet_solve");
@@ -170,8 +163,6 @@ int main(int argc, char** argv) {
   record.Param("profiles", kNumProfiles);
   record.Param("num_tasks", kNumTasks);
   record.Param("num_intervals", kNumIntervals);
-  record.Param("hw_threads", static_cast<double>(hw_threads));
-  record.Param("smoke", bench::Smoke() ? 1.0 : 0.0);
 
   std::vector<engine::PolicySpec> specs;
   specs.reserve(static_cast<size_t>(kCampaigns));
@@ -357,18 +348,26 @@ int main(int argc, char** argv) {
         admitted->id, 1.0 + i % 7, 1 + i % 30));
   }
 
+  // The p99 (ms) of one set of timed passes.
   auto time_passes = [&map, &requests, kPasses]() {
-    std::vector<double> ms;
-    ms.reserve(static_cast<size_t>(kPasses));
+    util::LatencyHistogram histogram;
     for (int pass = 0; pass < kPasses; ++pass) {
       const auto start = std::chrono::steady_clock::now();
       const auto responses = map.DecideBatch(requests);
-      ms.push_back(Seconds(start) * 1000.0);
+      histogram.RecordNanos(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
       for (const auto& response : responses) {
         bench::DieOnError(response.status, "decide during timing");
       }
     }
-    return ms;
+    return histogram.QuantileMs(0.99);
+  };
+  auto median = [](const std::vector<double>& values) {
+    auto quantile = stats::Percentile(values, 0.5);
+    bench::DieOnError(quantile.status(), "median of repeats");
+    return *quantile;
   };
 
   // Storm: a background-priority farm chews re-solves while the same
@@ -401,7 +400,7 @@ int main(int argc, char** argv) {
   record.Param("storm_repeats", kRepeats);
   std::vector<double> quiet_p99s, storm_p99s;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    quiet_p99s.push_back(Percentile(time_passes(), 0.99));
+    quiet_p99s.push_back(time_passes());
     // Prime the farm synchronously (one re-solve per campaign) so the
     // timed passes are guaranteed to overlap live solving.
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -409,15 +408,15 @@ int main(int argc, char** argv) {
                         "storm prime");
     }
     storming.store(true, std::memory_order_relaxed);
-    storm_p99s.push_back(Percentile(time_passes(), 0.99));
+    storm_p99s.push_back(time_passes());
     storming.store(false, std::memory_order_relaxed);
     lane.Drain();
   }
   storm_done.store(true, std::memory_order_relaxed);
   storm.join();
   lane.Drain();
-  const double p99_quiet = Percentile(quiet_p99s, 0.5);
-  const double p99_storm = Percentile(storm_p99s, 0.5);
+  const double p99_quiet = median(quiet_p99s);
+  const double p99_storm = median(storm_p99s);
 
   const serving::ResolveLane::Stats lane_stats = lane.stats();
   const double ratio = p99_quiet > 0.0 ? p99_storm / p99_quiet : 0.0;

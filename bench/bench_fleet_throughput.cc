@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -76,16 +75,13 @@ int main(int argc, char** argv) {
   const int kRepeats = bench::SmokeN(5, 3);
   // The scaling checks (and check_bench_json, which re-derives them from
   // this record) are capacity-aware: a 16-shard map cannot beat 6x on a
-  // 2-core runner no matter how good the read path is. hw_threads and
-  // smoke are recorded so the validator arms the strict gate only where
+  // 2-core runner no matter how good the read path is. The record carries
+  // hw_threads and smoke, so the validator arms the strict gate only where
   // the hardware can honestly express it.
-  const unsigned hw_threads =
-      std::max(1u, std::thread::hardware_concurrency());
+  const unsigned hw_threads = bench::HwThreads();
   record.Param("campaigns", kCampaigns);
   record.Param("batch_passes", kPasses);
   record.Param("timing_repeats", kRepeats);
-  record.Param("hw_threads", static_cast<double>(hw_threads));
-  record.Param("smoke", bench::Smoke() ? 1.0 : 0.0);
 
   std::cout << StringF(
       "DecideBatch over %d campaigns, %d passes per shard count\n\n",

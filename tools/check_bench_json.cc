@@ -16,9 +16,12 @@
 // JSON has no inf/nan literals, so finiteness comes free from parsing.
 //
 // Benches whose records downstream tooling keys on additionally have a
-// required-metric schema (kKnownBenches): a record that parses but lost
+// required-metric schema (KnownBenches): a record that parses but lost
 // its headline metrics (a refactor renamed a key, a sweep emitted no
 // cells) fails validation instead of silently emptying the trajectory.
+// The gated records (fleet_throughput, fleet_solve, serving) must also
+// carry the hw_threads and smoke params every BenchRecord stamps, so a
+// smoke record cannot pass as a full one.
 //
 // The fleet_throughput record additionally carries a scaling-curve gate
 // over decides_per_sec_shards_{1,2,4,8,16}: the serving read path is
@@ -41,8 +44,13 @@
 // hw_threads >= 4; on narrower hosts a decide can stall one scheduler
 // timeslice behind an already-running background solve, so the gate
 // relaxes to collapse-only (32x, 16x for smoke) with an absolute escape:
-// a storm p99 under 5 ms is never a stall whatever the ratio. Exit code 0
-// when every file validates, 1 otherwise.
+// a storm p99 under 5 ms is never a stall whatever the ratio.
+//
+// The serving record carries the routing-tier gate: the worst median
+// routed p99 over the median direct p99 at the same connection count,
+// p99_overhead_vs_direct, is <= 2 on full records (16 for smoke). Every
+// cell's p99 must come with its interquartile range over >= 5 repeats.
+// Exit code 0 when every file validates, 1 otherwise.
 
 #include <cctype>
 #include <cerrno>
@@ -321,43 +329,20 @@ const JsonValue* FindKey(const JsonObject& object, const std::string& key) {
   return nullptr;
 }
 
+// A bench's gate over its own record, given the host it was measured on.
+using Gate = bool (*)(double hw_threads, bool smoke, const JsonObject& params,
+                      const JsonObject& metrics, std::string& error);
+
 // Per-bench required metrics: every listed key must be present, and for
 // every listed prefix at least one metric key must start with it (sweep
-// benches emit one key per swept cell).
+// benches emit one key per swept cell). A bench with a gate must also
+// carry the hw_threads and smoke params.
 struct BenchRequirements {
   const char* bench;
   std::vector<const char*> metrics;
   std::vector<const char*> metric_prefixes;
+  Gate gate = nullptr;
 };
-
-const std::vector<BenchRequirements>& KnownBenches() {
-  static const std::vector<BenchRequirements> known = {
-      {"fleet_throughput",
-       {"serial_seconds", "fleet_seconds"},
-       {"decides_per_sec_shards_"}},
-      {"fleet_streaming",
-       {"admit_mean_ms", "admit_max_ms"},
-       {"decides_per_sec_window_", "admit_mean_ms_window_"}},
-      {"serving_remote",
-       {"sheets_per_sec", "p50_ms", "p99_ms"},
-       {"sheets_per_sec_conns_", "p50_ms_conns_", "p99_ms_conns_"}},
-      {"serving_router",
-       {"sheets_per_sec", "p50_ms", "p99_ms", "direct_p99_ms",
-        "p99_overhead_vs_direct"},
-       {"sheets_per_sec_backends_", "p50_ms_backends_", "p99_ms_backends_",
-        "p99_overhead_vs_direct_backends_"}},
-      {"ablate_dp_speedup",
-       {"alg2_eval_speedup_at_nmax", "layer_crossover_work"},
-       {"layer_", "solve_alg1_", "solve_alg2_"}},
-      {"fleet_solve",
-       {"wave_seconds", "sequential_solve_seconds", "eval_sequential_seconds",
-        "eval_batched_seconds", "eval_batched_speedup", "decide_p99_quiet_ms",
-        "decide_p99_storm_ms", "decide_p99_storm_over_quiet",
-        "share_blocks_built", "share_blocks_shared", "share_distinct_rates"},
-       {"waves_per_sec_threads_"}},
-  };
-  return known;
-}
 
 // Looks up `key` in a params/metrics object; false (with `error` set) when
 // it is absent. Shape validation already guaranteed every entry is a
@@ -378,13 +363,9 @@ bool RequireNumber(const JsonObject& object, const char* section,
 // the bench enforces them at measurement time, this validator re-derives
 // them from the persisted record so a regressed curve cannot be committed
 // or slip through CI even if the bench binary's checks are bypassed.
-bool ValidateFleetScalingCurve(const JsonObject& params,
+bool ValidateFleetScalingCurve(double hw_threads, bool is_smoke,
+                               const JsonObject& /*params*/,
                                const JsonObject& metrics, std::string& error) {
-  double hw_threads = 0.0, smoke = 0.0;
-  if (!RequireNumber(params, "param", "hw_threads", hw_threads, error) ||
-      !RequireNumber(params, "param", "smoke", smoke, error)) {
-    return false;
-  }
   const std::vector<int> gate_shards = {1, 2, 4, 8, 16};
   std::map<int, double> curve;
   for (int shards : gate_shards) {
@@ -401,7 +382,6 @@ bool ValidateFleetScalingCurve(const JsonObject& params,
     }
     curve[shards] = value;
   }
-  const bool is_smoke = smoke != 0.0;
   const double tolerance =
       is_smoke ? 0.50 : (hw_threads >= 16.0 ? 0.92 : 0.85);
   const double head_factor =
@@ -423,7 +403,7 @@ bool ValidateFleetScalingCurve(const JsonObject& params,
             std::to_string(curve[16]) + ") < " + std::to_string(head_factor) +
             " x decides_per_sec_shards_1 (" + std::to_string(curve[1]) +
             ") [hw_threads=" + std::to_string(hw_threads) +
-            ", smoke=" + std::to_string(smoke) + "]";
+            ", smoke=" + std::to_string(is_smoke) + "]";
     return false;
   }
   std::printf(
@@ -435,24 +415,39 @@ bool ValidateFleetScalingCurve(const JsonObject& params,
   return true;
 }
 
-// The routing-tier overhead gate for the serving_router record: the
-// worst-case routed p99 must stay within 2x of the direct (router-less)
-// p99 measured by the same run. Smoke records are too short for stable
-// tail quantiles, so they only gate against outright pathology (16x); the
-// bench binary applies the identical thresholds at measurement time.
-bool ValidateRouterOverhead(const JsonObject& params,
+// The routing-tier gate for the serving record: the worst median routed
+// p99 must stay within 2x of the median direct (router-less) p99 at the
+// same connection count, from the same interleaved repeats. Smoke records
+// are too short for stable tail quantiles, so they only gate against
+// outright pathology (16x); the bench applies the identical thresholds at
+// measurement time. Every cell's p99 must state its spread.
+bool ValidateRouterOverhead(double /*hw_threads*/, bool is_smoke,
+                            const JsonObject& params,
                             const JsonObject& metrics, std::string& error) {
-  double overhead = 0.0, smoke = 0.0;
+  double overhead = 0.0, repeats = 0.0;
   if (!RequireNumber(metrics, "metric", "p99_overhead_vs_direct", overhead,
                      error) ||
-      !RequireNumber(params, "param", "smoke", smoke, error)) {
+      !RequireNumber(params, "param", "repeats", repeats, error)) {
     return false;
+  }
+  if (repeats < 5.0) {
+    error = "repeats (" + std::to_string(repeats) +
+            ") < 5: a median of fewer repeats states no usable spread";
+    return false;
+  }
+  for (const auto& [key, unused] : metrics) {
+    (void)unused;
+    if (key.rfind("p99_ms_", 0) != 0) continue;
+    const std::string iqr = "p99_iqr_ms_" + key.substr(7);
+    if (FindKey(metrics, iqr) == nullptr) {
+      error = "cell \"" + key + "\" reports no spread (\"" + iqr + "\")";
+      return false;
+    }
   }
   if (overhead < 0.0) {
     error = "p99_overhead_vs_direct must be non-negative";
     return false;
   }
-  const bool is_smoke = smoke != 0.0;
   const double ceiling = is_smoke ? 16.0 : 2.0;
   if (overhead > ceiling) {
     error = "routing overhead gate: p99_overhead_vs_direct (" +
@@ -461,8 +456,7 @@ bool ValidateRouterOverhead(const JsonObject& params,
     return false;
   }
   std::printf(
-      "     serving_router overhead gate: %s (p99 %.2fx direct, "
-      "ceiling %.1fx)\n",
+      "     serving overhead gate: %s (p99 %.2fx direct, ceiling %.1fx)\n",
       is_smoke ? "smoke/pathology-only" : "strict 2x", overhead, ceiling);
   return true;
 }
@@ -471,14 +465,12 @@ bool ValidateRouterOverhead(const JsonObject& params,
 // batched evaluation speedup and storm-vs-quiet serving p99, re-derived
 // from the record's own hw_threads/smoke params exactly as the bench
 // derives them at measurement time.
-bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
-                        std::string& error) {
-  double hw_threads = 0.0, smoke = 0.0;
+bool ValidateFleetSolve(double hw_threads, bool is_smoke,
+                        const JsonObject& /*params*/,
+                        const JsonObject& metrics, std::string& error) {
   double eval_speedup = 0.0, ratio = 0.0, storm_ms = 0.0;
   double built = 0.0, shared = 0.0, distinct = 0.0;
-  if (!RequireNumber(params, "param", "hw_threads", hw_threads, error) ||
-      !RequireNumber(params, "param", "smoke", smoke, error) ||
-      !RequireNumber(metrics, "metric", "eval_batched_speedup", eval_speedup,
+  if (!RequireNumber(metrics, "metric", "eval_batched_speedup", eval_speedup,
                      error) ||
       !RequireNumber(metrics, "metric", "decide_p99_storm_over_quiet", ratio,
                      error) ||
@@ -492,7 +484,6 @@ bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
                      error)) {
     return false;
   }
-  const bool is_smoke = smoke != 0.0;
   if (built != distinct || shared != 0.0) {
     error = "pmf table gate: share_blocks_built (" + std::to_string(built) +
             ") must equal share_distinct_rates (" + std::to_string(distinct) +
@@ -515,7 +506,7 @@ bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
             std::to_string(ratio) + ") > " + std::to_string(storm_ceiling) +
             " and decide_p99_storm_ms (" + std::to_string(storm_ms) +
             ") > 5 ms [hw_threads=" + std::to_string(hw_threads) +
-            ", smoke=" + std::to_string(smoke) + "]";
+            ", smoke=" + std::to_string(is_smoke) + "]";
     return false;
   }
   std::printf(
@@ -525,6 +516,36 @@ bool ValidateFleetSolve(const JsonObject& params, const JsonObject& metrics,
       is_smoke ? "smoke/pathology-only"
                : (hw_threads >= 4.0 ? "strict 2x" : "narrow-host"));
   return true;
+}
+
+const std::vector<BenchRequirements>& KnownBenches() {
+  static const std::vector<BenchRequirements> known = {
+      {"fleet_throughput",
+       {"serial_seconds", "fleet_seconds"},
+       {"decides_per_sec_shards_"},
+       ValidateFleetScalingCurve},
+      {"fleet_streaming",
+       {"admit_mean_ms", "admit_max_ms"},
+       {"decides_per_sec_window_", "admit_mean_ms_window_"}},
+      {"serving",
+       {"p99_overhead_vs_direct"},
+       {"sheets_per_sec_conns_", "p50_ms_conns_", "p99_ms_conns_",
+        "p99_iqr_ms_conns_", "sheets_per_sec_backends_", "p50_ms_backends_",
+        "p99_ms_backends_", "p99_iqr_ms_backends_",
+        "p99_overhead_vs_direct_backends_"},
+       ValidateRouterOverhead},
+      {"ablate_dp_speedup",
+       {"alg2_eval_speedup_at_nmax", "layer_crossover_work"},
+       {"layer_", "solve_alg1_", "solve_alg2_"}},
+      {"fleet_solve",
+       {"wave_seconds", "sequential_solve_seconds", "eval_sequential_seconds",
+        "eval_batched_seconds", "eval_batched_speedup", "decide_p99_quiet_ms",
+        "decide_p99_storm_ms", "decide_p99_storm_over_quiet",
+        "share_blocks_built", "share_blocks_shared", "share_distinct_rates"},
+       {"waves_per_sec_threads_"},
+       ValidateFleetSolve},
+  };
+  return known;
 }
 
 bool ValidateRequirements(const std::string& bench, const JsonObject& params,
@@ -553,21 +574,11 @@ bool ValidateRequirements(const std::string& bench, const JsonObject& params,
         return false;
       }
     }
-  }
-  if (bench == "fleet_throughput") {
-    if (!ValidateFleetScalingCurve(params, metrics, error)) {
-      error = "\"" + bench + "\" " + error;
-      return false;
-    }
-  }
-  if (bench == "serving_router") {
-    if (!ValidateRouterOverhead(params, metrics, error)) {
-      error = "\"" + bench + "\" " + error;
-      return false;
-    }
-  }
-  if (bench == "fleet_solve") {
-    if (!ValidateFleetSolve(params, metrics, error)) {
+    double hw_threads = 0.0, smoke = 0.0;
+    if (required.gate != nullptr &&
+        (!RequireNumber(params, "param", "hw_threads", hw_threads, error) ||
+         !RequireNumber(params, "param", "smoke", smoke, error) ||
+         !required.gate(hw_threads, smoke != 0.0, params, metrics, error))) {
       error = "\"" + bench + "\" " + error;
       return false;
     }
