@@ -21,14 +21,25 @@
 //  * Whole solves, both algorithms, num_threads = 1 vs the default: wall
 //    and process CPU per solve, the plan's threads_used and the per-layer
 //    work estimate. Plans must be byte-identical; timings gate nothing.
+//
+// Third part -- where an on-the-fly bound solve's CPU goes. The interactive
+// shape (N 200-1000, 72 intervals, 21-price grid, supply ~2N, bound 0.5):
+// one SolveForExpectedRemaining is replayed stage by stage -- the pmf build
+// (DeadlineTables::Build), its DP solves (SolveDeadlineDp) and its nominal
+// evaluations (EvaluatePolicyNominal) -- with the search's own bracketing
+// and bisection, each stage timed in process CPU. The replay must land on
+// the library search's penalty and solve count, and its stages must sum to
+// within 10% of the whole search's CPU, timed interleaved with it.
 
 #include <time.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iostream>
+#include <numbers>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,7 +50,10 @@
 #include "kernel/layer_scan.h"
 #include "kernel/pmf_arena.h"
 #include "pricing/deadline_dp.h"
+#include "pricing/penalty_search.h"
+#include "pricing/policy_eval.h"
 #include "pricing/serialization.h"
+#include "stats/descriptive.h"
 #include "util/table.h"
 
 using namespace crowdprice;
@@ -134,13 +148,13 @@ LayerProbe ProbeLayer(const GrainGrid& grid, int n, int blocks) {
     const int hi =
         static_cast<int>(std::min<int64_t>(n, (chunk + 1) * per_chunk));
     if (lo <= hi) {
-      kern->ScanLayer(layer, lo, hi, opt_next.data(), opt_row.data(),
-                      action_row.data());
+      kern->ScanLayer(layer, lo, hi, 0, layer.num_actions - 1,
+                      opt_next.data(), opt_row.data(), action_row.data());
     }
   };
   const auto serial = [&] {
-    kern->ScanLayer(layer, 1, n, opt_next.data(), opt_row.data(),
-                    action_row.data());
+    kern->ScanLayer(layer, 1, n, 0, layer.num_actions - 1, opt_next.data(),
+                    opt_row.data(), action_row.data());
   };
   const auto region = [&] {
     pool.ParallelFor(chunks, scan_chunk, std::min(threads, pool.size() + 1));
@@ -163,6 +177,83 @@ LayerProbe ProbeLayer(const GrainGrid& grid, int n, int blocks) {
     probe.region_cpu_us = std::min(probe.region_cpu_us, 1e6 * p.cpu / reps);
   }
   return probe;
+}
+
+// The interactive shape's market: per-interval worker means with a diurnal
+// shape whose accepted supply at the top price sums to 2N.
+constexpr int kSearchIntervals = 72;
+constexpr double kSearchBound = 0.5;
+
+std::vector<double> DiurnalSupplyTwoN(const pricing::ActionSet& actions,
+                                      int n) {
+  std::vector<double> lambdas;
+  double total = 0.0;
+  for (int t = 0; t < kSearchIntervals; ++t) {
+    lambdas.push_back(1.0 + 0.5 * std::sin(2.0 * std::numbers::pi * t / 24.0));
+    total += lambdas.back();
+  }
+  const double top = actions.actions().back().acceptance;
+  for (double& l : lambdas) l *= 2.0 * n / (top * total);
+  return lambdas;
+}
+
+// CPU seconds of one bound search's stages.
+struct SearchStages {
+  double build = 0.0;
+  double dp = 0.0;
+  double eval = 0.0;
+  int dp_solves = 0;
+  double penalty_used = 0.0;
+};
+
+// SolveForExpectedRemaining's bracketing and bisection (default
+// BoundSolveOptions), replayed with each stage timed on its own.
+SearchStages ReplaySearch(const pricing::DeadlineProblem& base,
+                          const std::vector<double>& lambdas,
+                          const pricing::ActionSet& actions) {
+  const pricing::BoundSolveOptions options;
+  SearchStages out;
+  std::optional<pricing::DeadlineTables> tables;
+  out.build = Time([&] {
+                tables = pricing::DeadlineTables::Build(
+                             lambdas, actions, base.truncation_epsilon)
+                             .value();
+              }).cpu;
+  // Whether the plan at `penalty` meets the bound.
+  const auto feasible = [&](double penalty) {
+    pricing::DeadlineProblem problem = base;
+    problem.penalty_cents = penalty;
+    std::optional<pricing::DeadlinePlan> plan;
+    out.dp += Time([&] {
+                plan = pricing::SolveDeadlineDp(
+                           problem, lambdas, actions,
+                           pricing::DpAlgorithm::kImproved,
+                           options.dp_options, &*tables)
+                           .value();
+              }).cpu;
+    double remaining = 0.0;
+    out.eval += Time([&] {
+                  remaining = pricing::EvaluatePolicyNominal(*plan)
+                                  .value()
+                                  .expected_remaining;
+                }).cpu;
+    ++out.dp_solves;
+    return remaining <= kSearchBound;
+  };
+  double hi = options.initial_penalty;
+  while (!feasible(hi)) hi *= 4.0;
+  double lo = hi > options.initial_penalty ? hi / 4.0 : 0.0;
+  for (int i = 0; i < options.max_iterations; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid <= lo || mid >= hi) break;
+    if (feasible(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  out.penalty_used = hi;
+  return out;
 }
 
 }  // namespace
@@ -376,6 +467,93 @@ int main(int argc, char** argv) {
   bench::Check(solves_identical,
                "serial and default-thread solves produce byte-identical "
                "plans on every grain-sweep instance");
+
+  // ---------------------------------------------------------------------
+  // The bound search's stages.
+  std::cout << "\n=== Bound search stages (interactive shape: "
+            << kSearchIntervals << " intervals, 21-price grid, supply ~2N, "
+               "bound "
+            << kSearchBound << ") ===\n\n";
+  const pricing::ActionSet grid21 = grids[0].actions;
+  const std::vector<int> search_sizes =
+      bench::Smoke() ? std::vector<int>{200, 600}
+                     : std::vector<int>{200, 400, 600, 800, 1000};
+  const int search_reps = bench::SmokeN(10, 2);
+  record.Param("search_intervals", kSearchIntervals)
+      .Param("search_bound", kSearchBound)
+      .Param("search_reps", search_reps);
+  Table search_table({"N", "DP solves", "build ms", "DP ms", "eval ms",
+                      "stages ms", "search ms", "search IQR ms",
+                      "stages/search", "DP ms/solve"});
+  bool replay_matches = true;
+  bool stages_close = true;
+  for (const int n : search_sizes) {
+    pricing::DeadlineProblem problem;
+    problem.num_tasks = n;
+    problem.num_intervals = kSearchIntervals;
+    const std::vector<double> lambdas = DiurnalSupplyTwoN(grid21, n);
+    // One untimed search first, so no arm pays for a cold start; its
+    // result is what every replay must land on.
+    const pricing::BoundSolveResult want =
+        pricing::SolveForExpectedRemaining(problem, lambdas, grid21,
+                                           kSearchBound)
+            .value();
+    SearchStages stages;
+    std::vector<double> wholes;
+    // The whole search and its staged replay alternate which runs first
+    // (whole, replay, replay, whole, ...).
+    for (int r = 0; r < 2 * search_reps; ++r) {
+      if ((r + r / 2) % 2 == 0) {
+        wholes.push_back(Time([&] {
+                           (void)pricing::SolveForExpectedRemaining(
+                               problem, lambdas, grid21, kSearchBound);
+                         }).cpu);
+        continue;
+      }
+      const SearchStages s = ReplaySearch(problem, lambdas, grid21);
+      replay_matches = replay_matches &&
+                       s.penalty_used == want.penalty_used &&
+                       s.dp_solves == want.dp_solves;
+      stages.build += s.build;
+      stages.dp += s.dp;
+      stages.eval += s.eval;
+      stages.dp_solves = s.dp_solves;
+    }
+    double whole = 0.0;
+    for (const double w : wholes) whole += w;
+    const double iqr = stats::Percentile(wholes, 0.75).value() -
+                       stats::Percentile(wholes, 0.25).value();
+    const double scale = 1e3 / search_reps;
+    const double sum = stages.build + stages.dp + stages.eval;
+    const double ratio = sum / whole;
+    stages_close = stages_close && std::abs(ratio - 1.0) <= 0.10;
+    bench::DieOnError(
+        search_table.AddRow(
+            {StringF("%d", n), StringF("%d", stages.dp_solves),
+             StringF("%.2f", scale * stages.build),
+             StringF("%.2f", scale * stages.dp),
+             StringF("%.2f", scale * stages.eval),
+             StringF("%.2f", scale * sum), StringF("%.2f", scale * whole),
+             StringF("%.2f", 1e3 * iqr), StringF("%.3f", ratio),
+             StringF("%.3f", scale * stages.dp / stages.dp_solves)}),
+        "search row");
+    const std::string key = StringF("search_n%d_", n);
+    record.Metric(key + "dp_solves", stages.dp_solves)
+        .Metric(key + "build_cpu_ms", scale * stages.build)
+        .Metric(key + "dp_cpu_ms", scale * stages.dp)
+        .Metric(key + "eval_cpu_ms", scale * stages.eval)
+        .Metric(key + "search_cpu_ms", scale * whole)
+        .Metric(key + "search_cpu_iqr_ms", 1e3 * iqr)
+        .Metric(key + "stages_over_search", ratio);
+  }
+  search_table.Print(std::cout);
+  std::cout << "\n";
+  bench::Check(replay_matches,
+               "the staged replay lands on the library search's penalty and "
+               "DP solve count");
+  bench::Check(stages_close,
+               "pmf build + DP solves + nominal evaluations sum to within "
+               "10% of the whole bound search's CPU");
 
   (void)record.Write();
   return bench::Finish();

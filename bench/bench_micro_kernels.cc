@@ -242,8 +242,8 @@ void RunKernelBackendsHeadline() {
     double best_seconds = 0.0;
     for (int rep = 0; rep < repeats; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      kern->ScanLayer(layer, 1, n, opt_next.data(), opt_row.data(),
-                      action_row.data());
+      kern->ScanLayer(layer, 1, n, 0, layer.num_actions - 1, opt_next.data(),
+                      opt_row.data(), action_row.data());
       const double seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();

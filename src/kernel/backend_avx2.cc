@@ -8,9 +8,9 @@
 // every lane uses the full table, prefix values broadcast) -- with the
 // 3-state mixed boundary and bundled (b > 1) actions falling back to the
 // fused scalar body. Each vector lane executes exactly the operation
-// sequence of detail::FusedEvalState, so ScanLayer, ScanState and the
-// fallbacks are mutually bit-identical (the backend contract in
-// layer_scan.h).
+// sequence of detail::FusedEvalState, so the vector groups, the scalar
+// remainder and the fallbacks are mutually bit-identical (the backend
+// contract in layer_scan.h).
 //
 // Everything is compiled via per-function target("avx2,fma") attributes,
 // not file-level -march flags, so the translation unit always builds and
@@ -87,15 +87,16 @@ class Avx2Kernel final : public LayerScanKernel {
   const char* name() const override { return "avx2"; }
 
   CP_TARGET_AVX2 void ScanLayer(const LayerTables& layer, int n_lo, int n_hi,
-                                const double* opt_next, double* opt_row,
+                                int a_lo, int a_hi, const double* opt_next,
+                                double* opt_row,
                                 int32_t* action_row) const override {
     int n = n_lo;
     for (; n + (kLanes - 1) <= n_hi; n += kLanes) {
       alignas(32) double costs[kLanes];
-      EvalGroup(layer, 0, n, opt_next, costs);
+      EvalGroup(layer, a_lo, n, opt_next, costs);
       __m256d best = _mm256_load_pd(costs);
-      __m256i best_idx = _mm256_setzero_si256();  // 64-bit lanes
-      for (int a = 1; a < layer.num_actions; ++a) {
+      __m256i best_idx = _mm256_set1_epi64x(a_lo);  // 64-bit lanes
+      for (int a = a_lo + 1; a <= a_hi; ++a) {
         EvalGroup(layer, a, n, opt_next, costs);
         const __m256d cost = _mm256_load_pd(costs);
         const __m256d lt = _mm256_cmp_pd(cost, best, _CMP_LT_OQ);
@@ -111,19 +112,11 @@ class Avx2Kernel final : public LayerScanKernel {
       }
     }
     for (; n <= n_hi; ++n) {
-      const BestAction best = detail::BestOverActions(
-          detail::FusedEvalAction, layer, n, 0, layer.num_actions - 1,
-          opt_next);
+      const detail::BestAction best =
+          detail::BestOverActions(layer, n, a_lo, a_hi, opt_next);
       opt_row[n] = best.cost;
       action_row[n] = best.index;
     }
-  }
-
-  CP_TARGET_AVX2 BestAction ScanState(const LayerTables& layer, int n,
-                                      int a_lo, int a_hi,
-                                      const double* opt_next) const override {
-    return detail::BestOverActions(detail::FusedEvalAction, layer, n, a_lo,
-                                   a_hi, opt_next);
   }
 
   CP_TARGET_AVX2 void CollapseCorrelate(const PmfView& view, const double* x,

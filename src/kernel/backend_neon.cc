@@ -68,16 +68,16 @@ class NeonKernel final : public LayerScanKernel {
  public:
   const char* name() const override { return "neon"; }
 
-  void ScanLayer(const LayerTables& layer, int n_lo, int n_hi,
-                 const double* opt_next, double* opt_row,
+  void ScanLayer(const LayerTables& layer, int n_lo, int n_hi, int a_lo,
+                 int a_hi, const double* opt_next, double* opt_row,
                  int32_t* action_row) const override {
     int n = n_lo;
     for (; n + (kLanes - 1) <= n_hi; n += kLanes) {
       double costs[kLanes];
-      EvalGroup(layer, 0, n, opt_next, costs);
+      EvalGroup(layer, a_lo, n, opt_next, costs);
       float64x2_t best = vld1q_f64(costs);
-      uint64x2_t best_idx = vdupq_n_u64(0);
-      for (int a = 1; a < layer.num_actions; ++a) {
+      uint64x2_t best_idx = vdupq_n_u64(static_cast<uint64_t>(a_lo));
+      for (int a = a_lo + 1; a <= a_hi; ++a) {
         EvalGroup(layer, a, n, opt_next, costs);
         const float64x2_t cost = vld1q_f64(costs);
         const uint64x2_t lt = vcltq_f64(cost, best);
@@ -90,18 +90,11 @@ class NeonKernel final : public LayerScanKernel {
       action_row[n + 1] = static_cast<int32_t>(vgetq_lane_u64(best_idx, 1));
     }
     for (; n <= n_hi; ++n) {
-      const BestAction best = detail::BestOverActions(
-          detail::FusedEvalAction, layer, n, 0, layer.num_actions - 1,
-          opt_next);
+      const detail::BestAction best =
+          detail::BestOverActions(layer, n, a_lo, a_hi, opt_next);
       opt_row[n] = best.cost;
       action_row[n] = best.index;
     }
-  }
-
-  BestAction ScanState(const LayerTables& layer, int n, int a_lo, int a_hi,
-                       const double* opt_next) const override {
-    return detail::BestOverActions(detail::FusedEvalAction, layer, n, a_lo,
-                                   a_hi, opt_next);
   }
 
   void CollapseCorrelate(const PmfView& view, const double* x, int m,

@@ -16,22 +16,15 @@ class ScalarKernel final : public LayerScanKernel {
  public:
   const char* name() const override { return "scalar"; }
 
-  void ScanLayer(const LayerTables& layer, int n_lo, int n_hi,
-                 const double* opt_next, double* opt_row,
+  void ScanLayer(const LayerTables& layer, int n_lo, int n_hi, int a_lo,
+                 int a_hi, const double* opt_next, double* opt_row,
                  int32_t* action_row) const override {
     for (int n = n_lo; n <= n_hi; ++n) {
-      const BestAction best =
-          detail::BestOverActions(detail::FusedEvalAction, layer, n, 0,
-                                  layer.num_actions - 1, opt_next);
+      const detail::BestAction best =
+          detail::BestOverActions(layer, n, a_lo, a_hi, opt_next);
       opt_row[n] = best.cost;
       action_row[n] = best.index;
     }
-  }
-
-  BestAction ScanState(const LayerTables& layer, int n, int a_lo, int a_hi,
-                       const double* opt_next) const override {
-    return detail::BestOverActions(detail::FusedEvalAction, layer, n, a_lo,
-                                   a_hi, opt_next);
   }
 
   void CollapseCorrelate(const PmfView& view, const double* x, int m,

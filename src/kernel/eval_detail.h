@@ -79,18 +79,24 @@ inline double FusedCollapseAt(const PmfView& v, const double* x, int n) {
   return std::fma(std::max(0.0, 1.0 - v.prefix_mass[kn]), x[0], acc);
 }
 
-/// Bracket argmin on top of a per-(action, state) evaluator. The first
-/// action always seeds the best (matching the historical solver, which
-/// accepted the first candidate unconditionally) and later actions win
-/// only with strictly lower cost, so ties keep the lowest index.
-template <typename EvalFn>
-inline BestAction BestOverActions(EvalFn eval, const LayerTables& layer, int n,
-                                  int a_lo, int a_hi, const double* opt_next) {
+/// One state's scan result: the chosen action and its cost.
+struct BestAction {
+  int index = -1;
+  double cost = 0.0;
+};
+
+/// The cheapest action in [a_lo, a_hi] at one state: the scalar body of
+/// ScanLayer. The first action always seeds the best (matching the
+/// historical solver, which accepted the first candidate unconditionally)
+/// and later actions win only with strictly lower cost, so ties keep the
+/// lowest index.
+inline BestAction BestOverActions(const LayerTables& layer, int n, int a_lo,
+                                  int a_hi, const double* opt_next) {
   BestAction best;
   best.index = a_lo;
-  best.cost = eval(layer, a_lo, n, opt_next);
+  best.cost = FusedEvalAction(layer, a_lo, n, opt_next);
   for (int a = a_lo + 1; a <= a_hi; ++a) {
-    const double cost = eval(layer, a, n, opt_next);
+    const double cost = FusedEvalAction(layer, a, n, opt_next);
     if (cost < best.cost) {
       best.index = a;
       best.cost = cost;

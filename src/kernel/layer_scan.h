@@ -7,10 +7,11 @@
 //              + max(0, 1 - sum pmf_a[k]) * c_a * n
 //
 // for every state n and action a of a layer. Instead of one virtual call
-// per (n, a), a kernel evaluates a whole layer (ScanLayer), one state's
-// action bracket (ScanState -- Algorithm 2's inner search), or the joint
-// DP's collapsed transition rows (CollapseCorrelate / Axpy / MinCombine)
-// per call, over tables indexed by a PmfArena.
+// per (n, a), a kernel evaluates a state range over an action bracket
+// (ScanLayer: Algorithm 1's whole layer, Algorithm 2's midpoints and its
+// collapsed-bracket ranges), or the joint DP's collapsed transition rows
+// (CollapseCorrelate / Axpy / MinCombine) per call, over tables indexed by
+// a PmfArena.
 //
 // Backends and dispatch. Three backends ship: "scalar" (portable, one
 // state at a time), "avx2" (x86 FMA, states evaluated four per vector) and
@@ -24,12 +25,15 @@
 //  * Every entry point computes each output with the one fused arithmetic
 //    of kernel/eval_detail.h, operation for operation, so all backends
 //    return bit-identical results (the kernel parity suites assert
-//    equality, not closeness). In particular ScanLayer and ScanState
-//    evaluate a given (n, a) identically, so Algorithm 1 (dense scans) and
-//    Algorithm 2 (bracketed scans) produce bit-identical plans, and a plan
-//    does not depend on which backend solved it.
+//    equality, not closeness). In particular ScanLayer evaluates a given
+//    (n, a) identically whatever state range and action bracket it was
+//    called with, and whichever vector group or scalar remainder n fell
+//    in, so Algorithm 1 (full brackets) and Algorithm 2 (narrowed
+//    brackets) produce bit-identical plans, and a plan does not depend on
+//    which backend solved it.
 //  * Ties in cost go to the lowest action index, and the first action of a
-//    scan always beats "no action", matching the historical solver.
+//    bracket (a_lo) always beats "no action", matching the historical
+//    solver.
 
 #ifndef CROWDPRICE_KERNEL_LAYER_SCAN_H_
 #define CROWDPRICE_KERNEL_LAYER_SCAN_H_
@@ -54,11 +58,6 @@ struct LayerTables {
   int num_actions = 0;
 };
 
-struct BestAction {
-  int index = -1;
-  double cost = 0.0;
-};
-
 class LayerScanKernel {
  public:
   virtual ~LayerScanKernel() = default;
@@ -67,19 +66,16 @@ class LayerScanKernel {
   /// the value recorded in plan/artifact metadata.
   virtual const char* name() const = 0;
 
-  /// Dense layer scan (Algorithm 1): for every n in [n_lo, n_hi], scan all
-  /// actions and write the best cost and action index to opt_row[n] /
-  /// action_row[n]. opt_next is the t+1 value row (indexable up to n_hi).
-  /// Requires 1 <= n_lo <= n_hi.
+  /// Bracketed layer scan: for every n in [n_lo, n_hi], scan the actions
+  /// in [a_lo, a_hi] and write the best cost and action index to
+  /// opt_row[n] / action_row[n]. opt_next is the t+1 value row (indexable
+  /// up to n_hi). Algorithm 1 passes the full bracket [0, num_actions - 1];
+  /// Algorithm 2 passes one midpoint (n_lo == n_hi) with its bracket, or a
+  /// whole range whose bracket has collapsed to [a, a].
+  /// Requires 1 <= n_lo <= n_hi and 0 <= a_lo <= a_hi < num_actions.
   virtual void ScanLayer(const LayerTables& layer, int n_lo, int n_hi,
-                         const double* opt_next, double* opt_row,
-                         int32_t* action_row) const = 0;
-
-  /// Bracketed scan at one state (Algorithm 2's FindOptimalPriceForTime
-  /// leaf): the cheapest action in [a_lo, a_hi] at remaining count n.
-  /// Requires 0 <= a_lo <= a_hi < num_actions, n >= 1.
-  virtual BestAction ScanState(const LayerTables& layer, int n, int a_lo,
-                               int a_hi, const double* opt_next) const = 0;
+                         int a_lo, int a_hi, const double* opt_next,
+                         double* opt_row, int32_t* action_row) const = 0;
 
   /// Collapsed-transition correlation (the joint DP's per-type step): for
   /// every n in [0, m],

@@ -508,10 +508,15 @@ struct PricingServer::Impl {
       }
       return false;  // closed or transport error
     }
+    // Frames are parsed from an offset and the consumed prefix erased once
+    // per read, so a read holding K pipelined frames moves the buffer once,
+    // not K times.
     bool enqueue = false;
-    while (conn->in.size() >= kFrameHeaderBytes) {
-      Result<FrameHeader> header = DecodeFrameHeader(
-          conn->in.data(), conn->in.size(), options.max_frame_bytes);
+    size_t offset = 0;
+    while (conn->in.size() - offset >= kFrameHeaderBytes) {
+      Result<FrameHeader> header =
+          DecodeFrameHeader(conn->in.data() + offset, conn->in.size() - offset,
+                            options.max_frame_bytes);
       if (!header.ok()) {
         // Unframeable stream: no way to resync a length-prefixed
         // protocol, so drop the connection.
@@ -519,10 +524,10 @@ struct PricingServer::Impl {
         return false;
       }
       const size_t total = kFrameHeaderBytes + header->payload_bytes;
-      if (conn->in.size() < total) break;
+      if (conn->in.size() - offset < total) break;
       std::string payload =
-          conn->in.substr(kFrameHeaderBytes, header->payload_bytes);
-      conn->in.erase(0, total);
+          conn->in.substr(offset + kFrameHeaderBytes, header->payload_bytes);
+      offset += total;
       frames_received.fetch_add(1, std::memory_order_relaxed);
       frames_inflight.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(conn->mu);
@@ -532,6 +537,7 @@ struct PricingServer::Impl {
         enqueue = true;
       }
     }
+    conn->in.erase(0, offset);
     if (enqueue) {
       {
         std::lock_guard<std::mutex> lock(work_mu);

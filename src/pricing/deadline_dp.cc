@@ -50,42 +50,49 @@ Status ValidateInputs(const DeadlineProblem& problem,
   return ValidateGrid(interval_lambdas, actions);
 }
 
-// One state of Algorithm 2: search bracket [a_lo, a_hi], optionally capped
-// from above by Price(n, t+1) (time monotonicity). Writes the layer rows.
-kernel::BestAction SolveMonotoneState(const kernel::LayerScanKernel& kern,
-                                      const kernel::LayerTables& layer, int n,
-                                      int a_lo, int a_hi,
-                                      const double* opt_next,
-                                      const int32_t* cap_row, double* opt_row,
-                                      int32_t* action_row, int64_t* evals) {
+// One midpoint of Algorithm 2: search bracket [a_lo, a_hi], optionally
+// capped from above by Price(n, t+1) (time monotonicity). Writes the layer
+// rows and returns the chosen action.
+int SolveMonotoneState(const kernel::LayerScanKernel& kern,
+                       const kernel::LayerTables& layer, int n, int a_lo,
+                       int a_hi, const double* opt_next,
+                       const int32_t* cap_row, double* opt_row,
+                       int32_t* action_row, int64_t* evals) {
   int hi = a_hi;
   if (cap_row != nullptr && cap_row[n] >= 0) {
     hi = std::min(hi, static_cast<int>(cap_row[n]));
   }
   hi = std::max(hi, a_lo);  // Defensive: never let the cap empty the range.
-  const kernel::BestAction best = kern.ScanState(layer, n, a_lo, hi, opt_next);
+  kern.ScanLayer(layer, n, n, a_lo, hi, opt_next, opt_row, action_row);
   *evals += hi - a_lo + 1;
-  action_row[n] = best.index;
-  opt_row[n] = best.cost;
-  return best;
+  return action_row[n];
 }
 
 // Algorithm 2's FindOptimalPriceForTime: divide-and-conquer over n in
-// [n_lo, n_hi] with the price bracket [a_lo, a_hi].
+// [n_lo, n_hi] with the price bracket [a_lo, a_hi]. Once the bracket has
+// collapsed (a_lo == a_hi) the recursion would give every state of the
+// range one evaluation, of a_lo (the time cap is clamped up to a_lo), so
+// the range is scanned densely in one kernel call instead, with the same
+// per-state arithmetic, results and evaluation count.
 void SolveRangeMonotone(const kernel::LayerScanKernel& kern,
                         const kernel::LayerTables& layer, int n_lo, int n_hi,
                         int a_lo, int a_hi, const double* opt_next,
                         const int32_t* cap_row, double* opt_row,
                         int32_t* action_row, int64_t* evals) {
   if (n_lo > n_hi) return;
+  if (a_lo == a_hi) {
+    kern.ScanLayer(layer, n_lo, n_hi, a_lo, a_lo, opt_next, opt_row,
+                   action_row);
+    *evals += n_hi - n_lo + 1;
+    return;
+  }
   const int m = n_lo + (n_hi - n_lo) / 2;
-  const kernel::BestAction best =
-      SolveMonotoneState(kern, layer, m, a_lo, a_hi, opt_next, cap_row,
-                         opt_row, action_row, evals);
-  SolveRangeMonotone(kern, layer, n_lo, m - 1, a_lo, best.index, opt_next,
-                     cap_row, opt_row, action_row, evals);
-  SolveRangeMonotone(kern, layer, m + 1, n_hi, best.index, a_hi, opt_next,
-                     cap_row, opt_row, action_row, evals);
+  const int a = SolveMonotoneState(kern, layer, m, a_lo, a_hi, opt_next,
+                                   cap_row, opt_row, action_row, evals);
+  SolveRangeMonotone(kern, layer, n_lo, m - 1, a_lo, a, opt_next, cap_row,
+                     opt_row, action_row, evals);
+  SolveRangeMonotone(kern, layer, m + 1, n_hi, a, a_hi, opt_next, cap_row,
+                     opt_row, action_row, evals);
 }
 
 // An unsolved node of the Algorithm 2 recursion tree.
@@ -248,7 +255,8 @@ Result<DeadlinePlan> SolveDeadlineDp(
     const int hi = static_cast<int>(
         std::min<int64_t>(num_tasks, (chunk + 1) * per_chunk));
     if (lo > hi) return;
-    kern->ScanLayer(layer, lo, hi, opt_next, opt_row, action_row);
+    kern->ScanLayer(layer, lo, hi, 0, num_actions - 1, opt_next, opt_row,
+                    action_row);
   };
   const std::function<void(int64_t)> scan_range = [&](int64_t i) {
     const MonotoneRange& r = ranges[static_cast<size_t>(i)];
@@ -285,7 +293,8 @@ Result<DeadlinePlan> SolveDeadlineDp(
       if (parallel) {
         fan_out(chunks, scan_chunk);
       } else {
-        kern->ScanLayer(layer, 1, num_tasks, opt_next, opt_row, action_row);
+        kern->ScanLayer(layer, 1, num_tasks, 0, num_actions - 1, opt_next,
+                        opt_row, action_row);
       }
       evals += static_cast<int64_t>(num_tasks) * num_actions;
       continue;
@@ -317,11 +326,11 @@ Result<DeadlinePlan> SolveDeadlineDp(
       if (widest == ranges.size()) break;  // everything is fine-grained
       const MonotoneRange r = ranges[widest];
       const int m = r.n_lo + (r.n_hi - r.n_lo) / 2;
-      const kernel::BestAction best =
-          SolveMonotoneState(*kern, layer, m, r.a_lo, r.a_hi, opt_next,
-                             cap_row, opt_row, action_row, &evals);
-      ranges[widest] = {r.n_lo, m - 1, r.a_lo, best.index};
-      ranges.push_back({m + 1, r.n_hi, best.index, r.a_hi});
+      const int a = SolveMonotoneState(*kern, layer, m, r.a_lo, r.a_hi,
+                                       opt_next, cap_row, opt_row, action_row,
+                                       &evals);
+      ranges[widest] = {r.n_lo, m - 1, r.a_lo, a};
+      ranges.push_back({m + 1, r.n_hi, a, r.a_hi});
     }
     fan_out(static_cast<int64_t>(ranges.size()), scan_range);
   }

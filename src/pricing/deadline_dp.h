@@ -14,7 +14,11 @@
 // tests, as in the paper), the per-interval price search is organized as a
 // divide-and-conquer over n, shrinking each state's price range to the
 // bracket established by already-solved states. Complexity drops from
-// O(NT * N^2 * C) to O(NT * N * (N + C log N)).
+// O(NT * N^2 * C) to O(NT * N * (N + C log N)). Once a range's bracket has
+// collapsed to one price, every state in it can only take that price, so
+// the range is handed to the kernel as one dense scan (vector groups of
+// contiguous states on the SIMD backends) instead of being recursed one
+// midpoint at a time; the plan and the evaluation count are unchanged.
 //
 // An optional further pruning uses the price monotonicity in t for fixed n
 // (§3.2 last paragraph): Price(n, t) <= Price(n, t+1), so the layer at t+1

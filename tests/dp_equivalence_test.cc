@@ -5,12 +5,15 @@
 // check, over randomized instances, that Algorithm 1 and Algorithm 2 (with
 // and without time-monotonicity pruning) produce identical plans -- and
 // that the pool-parallel layer scans are bit-identical to a serial solve,
-// whatever the thread count, and that layers under the fan-out grain never
-// open a region.
+// whatever the thread count, that layers under the fan-out grain never
+// open a region, and that Algorithm 2 matches a per-state reference copy
+// of its recursion in plan bytes and evaluation count.
 
 #include "pricing/deadline_dp.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -18,7 +21,9 @@
 
 #include "choice/acceptance.h"
 #include "engine/solver_pool.h"
+#include "kernel/eval_detail.h"
 #include "kernel/layer_scan.h"
+#include "kernel/pmf_arena.h"
 #include "pricing/serialization.h"
 #include "util/rng.h"
 
@@ -232,6 +237,170 @@ TEST(DpEquivalenceTest, LayersUnderTheGrainScanSeriallyAtAnyThreadCount) {
       }
       EXPECT_EQ(SerializePlan(*plan), serial_bytes) << threads << " threads";
       EXPECT_EQ(plan->action_evaluations, serial_evals);
+    }
+  }
+}
+
+// Reference Algorithm 2: the divide-and-conquer recursion scanning one
+// state's bracket per midpoint all the way down, with the per-state
+// argmin (kernel::detail::BestOverActions), as the solver ran before
+// collapsed brackets were handed to the kernel as dense ranges.
+struct ReferenceMonotone {
+  const kernel::LayerTables* layer;
+  const double* opt_next;
+  const int32_t* cap_row;
+  double* opt_row;
+  int32_t* action_row;
+  int64_t evals = 0;
+
+  void Range(int n_lo, int n_hi, int a_lo, int a_hi) {
+    if (n_lo > n_hi) return;
+    const int m = n_lo + (n_hi - n_lo) / 2;
+    int hi = a_hi;
+    if (cap_row != nullptr && cap_row[m] >= 0) {
+      hi = std::min(hi, static_cast<int>(cap_row[m]));
+    }
+    hi = std::max(hi, a_lo);
+    const kernel::detail::BestAction best =
+        kernel::detail::BestOverActions(*layer, m, a_lo, hi, opt_next);
+    evals += hi - a_lo + 1;
+    opt_row[m] = best.cost;
+    action_row[m] = best.index;
+    Range(n_lo, m - 1, a_lo, best.index);
+    Range(m + 1, n_hi, best.index, a_hi);
+  }
+};
+
+DeadlinePlan ReferenceImprovedPlan(const DeadlineProblem& problem,
+                                   const std::vector<double>& lambdas,
+                                   const ActionSet& actions, bool pruning) {
+  const DeadlineTables tables =
+      DeadlineTables::Build(lambdas, actions, problem.truncation_epsilon)
+          .value();
+  std::vector<double> costs;
+  std::vector<int> bundles;
+  for (const PricingAction& a : actions.actions()) {
+    costs.push_back(a.cost_per_task_cents);
+    bundles.push_back(a.bundle);
+  }
+  const int num_actions = static_cast<int>(actions.size());
+  kernel::LayerTables layer;
+  layer.arena = tables.arena().get();
+  layer.costs = costs.data();
+  layer.bundles = bundles.data();
+  layer.num_actions = num_actions;
+  DeadlinePlan plan(problem, actions, lambdas);
+  int64_t evals = 0;
+  for (int t = problem.num_intervals - 1; t >= 0; --t) {
+    layer.tables =
+        tables.table_ids().data() + static_cast<size_t>(t) * num_actions;
+    ReferenceMonotone ref{
+        &layer, plan.OptLayer(t + 1),
+        pruning && t < problem.num_intervals - 1 ? plan.ActionLayer(t + 1)
+                                                 : nullptr,
+        plan.MutableOptLayer(t), plan.MutableActionLayer(t)};
+    ref.Range(1, problem.num_tasks, 0, num_actions - 1);
+    evals += ref.evals;
+  }
+  plan.action_evaluations = evals;
+  return plan;
+}
+
+// Per-interval worker means with a diurnal shape whose accepted supply at
+// the top price sums to `supply_over_n` * N (the on-the-fly bound solves'
+// market).
+std::vector<double> DiurnalLambdas(Rng& rng, int num_intervals, int num_tasks,
+                                   double supply_over_n, double top) {
+  const double phase = 2.0 * std::numbers::pi * rng.NextDouble();
+  std::vector<double> shape;
+  double total = 0.0;
+  for (int t = 0; t < num_intervals; ++t) {
+    shape.push_back(
+        (1.0 + 0.5 * std::sin(2.0 * std::numbers::pi * t / 24.0 + phase)) *
+        (1.0 + 0.1 * (2.0 * rng.NextDouble() - 1.0)));
+    total += shape.back();
+  }
+  for (double& s : shape) s *= supply_over_n * num_tasks / (top * total);
+  return shape;
+}
+
+TEST(DpEquivalenceTest, ImprovedMatchesPerStateReferenceRecursion) {
+  struct Case {
+    const char* name;
+    DeadlineProblem problem;
+    std::vector<double> lambdas;
+    ActionSet actions;
+  };
+  const auto acceptance = choice::LogitAcceptance::Paper2014();
+  const ActionSet grid21 = ActionSet::FromPriceGrid(20, acceptance).value();
+  const double top = grid21.actions().back().acceptance;
+  Rng rng(1807);
+  std::vector<Case> cases;
+  // The interactive shape: N = 600, 72 intervals, supply ~2N, at penalties
+  // across a bound search's range.
+  for (const double penalty : {40.0, 300.0, 2500.0}) {
+    DeadlineProblem problem;
+    problem.num_tasks = 600;
+    problem.num_intervals = 72;
+    problem.penalty_cents = penalty;
+    cases.push_back({"interactive", problem,
+                     DiurnalLambdas(rng, 72, 600, 1.9 + 0.2 * rng.NextDouble(),
+                                    top),
+                     grid21});
+  }
+  // Wave-like campaigns: N 8-40, 24 intervals, level 300-2500 workers.
+  for (int p = 0; p < 6; ++p) {
+    DeadlineProblem problem;
+    problem.num_tasks = 8 + static_cast<int>(rng.NextDouble() * 33.0);
+    problem.num_intervals = 24;
+    problem.penalty_cents = 150.0 + 10.0 * p;
+    const double level = 300.0 + 2200.0 * rng.NextDouble();
+    const double phase = 2.0 * std::numbers::pi * rng.NextDouble();
+    std::vector<double> lambdas;
+    for (int t = 0; t < 24; ++t) {
+      lambdas.push_back(
+          level * (1.0 + 0.4 * std::sin(2.0 * std::numbers::pi * t / 24.0 +
+                                        phase)));
+    }
+    cases.push_back({"wave", problem, std::move(lambdas), grid21});
+  }
+  // Layers above the fan-out grain, so the range pre-split path runs.
+  {
+    DeadlineProblem problem;
+    problem.num_tasks = 1000;
+    problem.num_intervals = 8;
+    problem.penalty_cents = 150.0;
+    const ActionSet grid36 = ActionSet::FromPriceGrid(35, acceptance).value();
+    const std::vector<double> lambdas(8, 80000.0);
+    EXPECT_GE(DeadlineTables::Build(lambdas, grid36, 1e-9)
+                  .value()
+                  .LayerWork(0, problem.num_tasks, /*monotone=*/true),
+              kLayerFanOutGrain);
+    cases.push_back({"above grain", problem, lambdas, grid36});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.name << " N=" << c.problem.num_tasks
+                                    << " penalty=" << c.problem.penalty_cents);
+    for (const bool pruning : {false, true}) {
+      const DeadlinePlan want =
+          ReferenceImprovedPlan(c.problem, c.lambdas, c.actions, pruning);
+      const std::string want_bytes = SerializePlan(want);
+      for (const std::string& backend :
+           kernel::KernelRegistry::Global().Available()) {
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(testing::Message() << backend << " pruning=" << pruning
+                                          << " threads=" << threads);
+          DpOptions options;
+          options.kernel_backend = backend;
+          options.num_threads = threads;
+          options.time_monotonicity_pruning = pruning;
+          auto plan = SolveImprovedDp(c.problem, c.lambdas, c.actions, options);
+          ASSERT_TRUE(plan.ok()) << plan.status();
+          EXPECT_EQ(SerializePlan(*plan), want_bytes);
+          EXPECT_EQ(plan->action_evaluations, want.action_evaluations);
+        }
+      }
     }
   }
 }

@@ -1,12 +1,14 @@
 // Kernel-layer tests: PmfArena layout/dedup invariants, KernelRegistry
 // dispatch, and the backend parity suite -- every registered backend must
-// agree with "scalar" bit for bit on randomized layers, and with ITSELF
-// between the dense (ScanLayer) and bracketed (ScanState) entry points,
-// the contract that makes Algorithm 1 and Algorithm 2 produce identical
-// plans under any backend.
+// agree with "scalar" bit for bit on randomized layers, and ScanLayer must
+// evaluate each state exactly as the per-state reference does whatever
+// state range and action bracket it is called with, the contract that
+// makes Algorithm 1 and Algorithm 2 produce identical plans under any
+// backend.
 
 #include "kernel/layer_scan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kernel/eval_detail.h"
 #include "kernel/pmf_arena.h"
 #include "stats/poisson.h"
 #include "util/rng.h"
@@ -175,14 +178,15 @@ TEST(KernelParityTest, ScanLayerBitIdenticalToScalarOnRandomLayers) {
       const int n = layer.num_tasks;
       std::vector<double> want_opt(n + 1, -1.0);
       std::vector<int32_t> want_act(n + 1, -7);
-      scalar->ScanLayer(lt, 1, n, layer.opt_next.data(), want_opt.data(),
+      scalar->ScanLayer(lt, 1, n, 0, lt.num_actions - 1,
+                        layer.opt_next.data(), want_opt.data(),
                         want_act.data());
       for (const LayerScanKernel* kern : AllBackends()) {
         SCOPED_TRACE(kern->name());
         std::vector<double> opt(n + 1, -1.0);
         std::vector<int32_t> act(n + 1, -7);
-        kern->ScanLayer(lt, 1, n, layer.opt_next.data(), opt.data(),
-                        act.data());
+        kern->ScanLayer(lt, 1, n, 0, lt.num_actions - 1,
+                        layer.opt_next.data(), opt.data(), act.data());
         for (int i = 1; i <= n; ++i) {
           ASSERT_EQ(opt[i], want_opt[i]) << "opt at n=" << i;  // bitwise
           ASSERT_EQ(act[i], want_act[i]) << "argmin at n=" << i;
@@ -192,30 +196,60 @@ TEST(KernelParityTest, ScanLayerBitIdenticalToScalarOnRandomLayers) {
   }
 }
 
-TEST(KernelParityTest, ScanStateIsBitIdenticalToOwnScanLayer) {
-  // The within-backend contract: dense and bracketed scans share their
-  // arithmetic exactly, whatever group/remainder split ScanLayer used.
-  Rng rng(4242);
-  for (int rep = 0; rep < 8; ++rep) {
-    const RandomLayer layer = MakeRandomLayer(rng, false);
-    const LayerTables lt = layer.Tables();
-    const int n = layer.num_tasks;
-    for (const LayerScanKernel* kern : AllBackends()) {
-      SCOPED_TRACE(kern->name());
-      std::vector<double> opt(n + 1, 0.0);
-      std::vector<int32_t> act(n + 1, -1);
-      kern->ScanLayer(lt, 1, n, layer.opt_next.data(), opt.data(), act.data());
-      for (int i = 1; i <= n; ++i) {
-        const BestAction best = kern->ScanState(lt, i, 0, lt.num_actions - 1,
-                                                layer.opt_next.data());
-        ASSERT_EQ(best.index, act[i]) << "n=" << i;
-        ASSERT_EQ(best.cost, opt[i]) << "n=" << i;  // bitwise
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(KernelParityTest, BracketedScanLayerBitIdenticalToPerStateReference) {
+  // Random state ranges (single states among them, as Algorithm 2's
+  // midpoints scan) and random action brackets (collapsed [a, a] and full
+  // [0, C-1] among them): every backend must write, for each state of the
+  // range, exactly the per-state BestOverActions result -- the same bits
+  // scalar writes -- whatever vector group or remainder the state fell in,
+  // and must leave every state outside the range untouched.
+  const auto scalar = KernelRegistry::Global().Resolve("scalar").value();
+  for (const bool bundled : {false, true}) {
+    Rng rng(bundled ? 4243 : 4242);
+    for (int rep = 0; rep < 8; ++rep) {
+      const RandomLayer layer = MakeRandomLayer(rng, bundled);
+      const LayerTables lt = layer.Tables();
+      const int n = layer.num_tasks;
+      const int c = lt.num_actions;
+      for (int trial = 0; trial < 40; ++trial) {
+        const int n_lo = 1 + static_cast<int>(rng.NextDouble() * n);
+        const int n_hi =
+            trial % 4 == 0
+                ? n_lo
+                : std::min(n, n_lo + static_cast<int>(rng.NextDouble() * 40));
+        int a_lo = static_cast<int>(rng.NextDouble() * c);
+        int a_hi = a_lo + static_cast<int>(rng.NextDouble() * (c - a_lo));
+        if (trial % 5 == 1) a_hi = a_lo;
+        if (trial % 5 == 2) a_lo = 0, a_hi = c - 1;
+        SCOPED_TRACE(testing::Message() << "n [" << n_lo << ", " << n_hi
+                                        << "] a [" << a_lo << ", " << a_hi
+                                        << "]");
+        std::vector<double> want_opt(n + 1, -1.0);
+        std::vector<int32_t> want_act(n + 1, -7);
+        scalar->ScanLayer(lt, n_lo, n_hi, a_lo, a_hi, layer.opt_next.data(),
+                          want_opt.data(), want_act.data());
+        for (int i = n_lo; i <= n_hi; ++i) {
+          const detail::BestAction ref = detail::BestOverActions(
+              lt, i, a_lo, a_hi, layer.opt_next.data());
+          ASSERT_EQ(want_act[i], ref.index) << "scalar argmin at n=" << i;
+          ASSERT_TRUE(SameBits(want_opt[i], ref.cost)) << "scalar at n=" << i;
+          ASSERT_GE(ref.index, a_lo);
+          ASSERT_LE(ref.index, a_hi);
+        }
+        for (const LayerScanKernel* kern : AllBackends()) {
+          SCOPED_TRACE(kern->name());
+          std::vector<double> opt(n + 1, -1.0);
+          std::vector<int32_t> act(n + 1, -7);
+          kern->ScanLayer(lt, n_lo, n_hi, a_lo, a_hi, layer.opt_next.data(),
+                          opt.data(), act.data());
+          for (int i = 0; i <= n; ++i) {
+            ASSERT_EQ(act[i], want_act[i]) << "argmin at n=" << i;
+            ASSERT_TRUE(SameBits(opt[i], want_opt[i])) << "opt at n=" << i;
+          }
+        }
       }
-      // Bracketed sub-ranges agree with a dense rescan of the same range.
-      const BestAction hi_half = kern->ScanState(
-          lt, n / 2, lt.num_actions / 2, lt.num_actions - 1,
-          layer.opt_next.data());
-      EXPECT_GE(hi_half.index, lt.num_actions / 2);
     }
   }
 }

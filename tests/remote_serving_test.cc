@@ -15,6 +15,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/time.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -385,6 +386,109 @@ TEST(RemoteServingTest, ErrFormRequestIsInvalidArgumentNotItsCarriedStatus) {
   EXPECT_TRUE(responses.status().IsInvalidArgument()) << responses.status();
   EXPECT_EQ(server->stats().protocol_errors, 1u);
   EXPECT_EQ(server->stats().decide_requests, 0u);
+  ASSERT_TRUE(server->Stop().ok());
+}
+
+// One send holding thousands of pipelined decide frames: the server parses
+// every frame of a read from an offset, so each is answered exactly once
+// and in order, with no protocol error.
+TEST(RemoteServingTest, PipelinedFramesInOneSendAreAnsweredInOrder) {
+  auto map = serving::CampaignShardMap::Create(2);
+  ASSERT_TRUE(map.ok());
+  ServerOptions options;
+  options.port = 0;
+  options.num_workers = 2;
+  auto server = PricingServer::Create(&map.value(), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server->Start().ok());
+  auto control = PricingClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(control.ok());
+  serving::CampaignLimits limits;
+  limits.total_tasks = 20;
+  limits.deadline_hours = 8.0;
+  const auto id = control->AdmitShared(
+      std::make_shared<const engine::PolicyArtifact>(SmallDeadlineArtifact()),
+      limits);
+  ASSERT_TRUE(id.ok());
+
+  // Frame i asks the live campaign (every third frame, at a varying clock
+  // and remaining count) or an unknown id that the answer echoes, so the
+  // answers pin the order.
+  constexpr int kFrames = 5000;
+  std::vector<serving::DecideRequest> requests;
+  std::string stream;
+  for (int i = 0; i < kFrames; ++i) {
+    const serving::CampaignId campaign =
+        i % 3 == 0 ? *id : static_cast<serving::CampaignId>(1000000 + i);
+    requests.push_back(serving::DecideRequest::Single(
+        campaign, 0.5 * (i % 16), 1 + i % 20));
+    stream += EncodeFrame(FrameType::kDecideBatchRequest,
+                          SerializeDecideBatchRequest({requests.back()}),
+                          kDefaultMaxFrameBytes)
+                  .value();
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 60;  // a lost answer fails the test instead of hanging
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // The send runs beside the reader: the answers flow back while the
+  // stream is still going out.
+  ssize_t sent = -1;
+  std::thread sender([&] {
+    sent = ::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL);
+  });
+  std::string in;
+  size_t offset = 0;
+  int answered = 0;
+  char buf[64 * 1024];
+  while (answered < kFrames) {
+    if (in.size() - offset >= kFrameHeaderBytes) {
+      const auto header = DecodeFrameHeader(in.data() + offset,
+                                            in.size() - offset,
+                                            kDefaultMaxFrameBytes);
+      ASSERT_TRUE(header.ok()) << header.status();
+      const size_t total = kFrameHeaderBytes + header->payload_bytes;
+      if (in.size() - offset >= total) {
+        const auto responses = DeserializeDecideBatchResponse(
+            in.substr(offset + kFrameHeaderBytes, header->payload_bytes));
+        offset += total;
+        ASSERT_TRUE(responses.ok()) << responses.status();
+        ASSERT_EQ(responses->size(), 1u);
+        const serving::DecideRequest& request = requests[answered];
+        const serving::DecideResponse& got = responses->front();
+        ASSERT_EQ(got.campaign_id, request.campaign_id) << "frame " << answered;
+        if (request.campaign_id == *id) {
+          const auto want = map->Decide(*id, request.request);
+          ASSERT_TRUE(want.ok());
+          ASSERT_TRUE(got.status.ok()) << got.status;
+          EXPECT_EQ(SerializeOfferSheet(got.sheet), SerializeOfferSheet(*want))
+              << "frame " << answered;
+        } else {
+          EXPECT_TRUE(got.status.IsNotFound()) << "frame " << answered;
+        }
+        ++answered;
+        continue;
+      }
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    in.append(buf, static_cast<size_t>(n));
+  }
+  sender.join();
+  ::close(fd);
+  EXPECT_EQ(sent, static_cast<ssize_t>(stream.size()));
+  EXPECT_EQ(answered, kFrames);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_GE(stats.frames_received, static_cast<uint64_t>(kFrames));
   ASSERT_TRUE(server->Stop().ok());
 }
 

@@ -536,7 +536,7 @@ const std::vector<BenchRequirements>& KnownBenches() {
        ValidateRouterOverhead},
       {"ablate_dp_speedup",
        {"alg2_eval_speedup_at_nmax", "layer_crossover_work"},
-       {"layer_", "solve_alg1_", "solve_alg2_"}},
+       {"layer_", "solve_alg1_", "solve_alg2_", "search_"}},
       {"fleet_solve",
        {"wave_seconds", "sequential_solve_seconds", "eval_sequential_seconds",
         "eval_batched_seconds", "eval_batched_speedup", "decide_p99_quiet_ms",
