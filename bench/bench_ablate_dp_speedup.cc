@@ -12,12 +12,16 @@
 // 50-price grid with lambda = 610 N / 200 (24 intervals each):
 //  * Layer probe: one Algorithm 1 layer scanned serially on the caller vs
 //    as a ParallelFor region on SolverPool::Foreground() with the solver's
-//    chunking, best-of-blocks wall and process CPU per layer. The smallest
-//    probed work from which on every fanned-out layer takes at most half
-//    the serial wall time is the record's layer_crossover_work. A region's
-//    cost (wake-ups, join) does not depend on what its body scans, so the
-//    crossover, in multiply-adds, holds for the monotone search's ranges
-//    too.
+//    chunking, best-of-blocks wall per layer, and the process CPU of the
+//    block that gave the best region wall. A row whose region CPU is under
+//    1.25x its region wall is starved: no helper joined its regions, so it
+//    measured the scheduler, not the fan-out (the record's
+//    layer_starved_rows counts them). Over the rows that are not starved,
+//    the smallest probed work from which on every fanned-out layer takes
+//    at most half the serial wall time is the record's
+//    layer_crossover_work. A region's cost (wake-ups, join) does not
+//    depend on what its body scans, so the crossover, in multiply-adds,
+//    holds for the monotone search's ranges too.
 //  * Whole solves, both algorithms, num_threads = 1 vs the default: wall
 //    and process CPU per solve, the plan's threads_used and the per-layer
 //    work estimate. Plans must be byte-identical; timings gate nothing.
@@ -104,16 +108,26 @@ double PaperLambda(const pricing::ActionSet&, int n) {
   return 610.0 * n / 200.0;
 }
 
+// A probe row is starved when its best region block's CPU is under this
+// multiple of its wall: no helper joined the regions.
+constexpr double kStarvedCpuOverWall = 1.25;
+
 struct LayerProbe {
   int64_t work = 0;
   double serial_us = 0.0;
   double region_us = 0.0;
+  /// Process CPU of the block that gave region_us.
   double region_cpu_us = 0.0;
+
+  bool starved() const {
+    return region_cpu_us < kStarvedCpuOverWall * region_us;
+  }
 };
 
 // One Algorithm 1 layer at n tasks: serial scan vs a foreground region
 // chunked as SolveDeadlineDp chunks it. Best of `blocks` alternating
-// blocks of back-to-back layers.
+// blocks of back-to-back layers; the region CPU is the best region
+// block's.
 LayerProbe ProbeLayer(const GrainGrid& grid, int n, int blocks) {
   const std::vector<double> lambdas(1, grid.lambda(grid.actions, n));
   const pricing::DeadlineTables tables =
@@ -173,8 +187,10 @@ LayerProbe ProbeLayer(const GrainGrid& grid, int n, int blocks) {
     const Cost s = Time([&] { for (int r = 0; r < reps; ++r) serial(); });
     const Cost p = Time([&] { for (int r = 0; r < reps; ++r) region(); });
     probe.serial_us = std::min(probe.serial_us, 1e6 * s.wall / reps);
-    probe.region_us = std::min(probe.region_us, 1e6 * p.wall / reps);
-    probe.region_cpu_us = std::min(probe.region_cpu_us, 1e6 * p.cpu / reps);
+    if (1e6 * p.wall / reps < probe.region_us) {
+      probe.region_us = 1e6 * p.wall / reps;
+      probe.region_cpu_us = 1e6 * p.cpu / reps;
+    }
   }
   return probe;
 }
@@ -281,7 +297,7 @@ int main(int argc, char** argv) {
     const std::vector<double> lambdas(24, 610.0 * n / 200.0);
     const engine::PolicyArtifact simple_art = bench::SolveOrDie(
         bench::MakeDeadlineSpec(problem, lambdas, actions,
-                                engine::DeadlineDpSpec::Algorithm::kSimple),
+                                pricing::DpAlgorithm::kSimple),
         "simple");
     const engine::PolicyArtifact improved_art = bench::SolveOrDie(
         bench::MakeDeadlineSpec(problem, lambdas, actions), "improved");
@@ -357,7 +373,7 @@ int main(int argc, char** argv) {
       .Param("grain_intervals", kGrainIntervals);
 
   Table probe_table({"grid", "N", "layer work", "serial us", "region us",
-                     "region CPU us", "wall speedup"});
+                     "region CPU us", "wall speedup", "starved"});
   std::vector<LayerProbe> probes;
   for (const GrainGrid& grid : grids) {
     for (int n : grain_sizes) {
@@ -369,7 +385,8 @@ int main(int argc, char** argv) {
                StringF("%lld", static_cast<long long>(p.work)),
                StringF("%.1f", p.serial_us), StringF("%.1f", p.region_us),
                StringF("%.1f", p.region_cpu_us),
-               StringF("%.2fx", p.serial_us / p.region_us)}),
+               StringF("%.2fx", p.serial_us / p.region_us),
+               p.starved() ? "yes" : "no"}),
           "probe row");
       const std::string key = StringF("layer_%s_n%d_", grid.name, n);
       record.Metric(key + "work", static_cast<double>(p.work))
@@ -380,7 +397,12 @@ int main(int argc, char** argv) {
   }
   probe_table.Print(std::cout);
   // The crossover: the least probed work from which on every probed layer
-  // at least as big runs >= 2x faster fanned out.
+  // at least as big runs >= 2x faster fanned out, over the rows that are
+  // not starved.
+  const auto starved_rows =
+      std::count_if(probes.begin(), probes.end(),
+                    [](const LayerProbe& p) { return p.starved(); });
+  std::erase_if(probes, [](const LayerProbe& p) { return p.starved(); });
   std::sort(probes.begin(), probes.end(),
             [](const LayerProbe& a, const LayerProbe& b) {
               return a.work < b.work;
@@ -391,20 +413,22 @@ int main(int argc, char** argv) {
     crossover = static_cast<double>(probes[i].work);
   }
   std::cout << StringF("\nlayer crossover (fanned out >= 2x faster from here "
-                       "on): %s\n\n",
+                       "on, %lld starved row(s) left out): %s\n\n",
+                       static_cast<long long>(starved_rows),
                        crossover < 0 ? "none probed"
                                      : StringF("%.0f multiply-adds",
                                                crossover).c_str());
-  record.Metric("layer_crossover_work", crossover);
+  record.Metric("layer_crossover_work", crossover)
+      .Metric("layer_starved_rows", static_cast<double>(starved_rows));
 
   Table solve_table({"alg", "grid", "N", "layer work", "threads",
                      "serial ms", "serial CPU", "default ms", "default CPU",
                      "plans equal"});
   bool solves_identical = true;
   const int solve_reps = bench::SmokeN(3, 1);
-  for (const auto algorithm : {engine::DeadlineDpSpec::Algorithm::kSimple,
-                               engine::DeadlineDpSpec::Algorithm::kImproved}) {
-    const bool simple = algorithm == engine::DeadlineDpSpec::Algorithm::kSimple;
+  for (const auto algorithm : {pricing::DpAlgorithm::kSimple,
+                               pricing::DpAlgorithm::kImproved}) {
+    const bool simple = algorithm == pricing::DpAlgorithm::kSimple;
     for (const GrainGrid& grid : grids) {
       for (int n : grain_sizes) {
         pricing::DeadlineProblem problem;

@@ -133,8 +133,7 @@ inline engine::PolicyArtifact SolveOrDie(const engine::PolicySpec& spec,
 inline engine::DeadlineDpSpec MakeDeadlineSpec(
     const pricing::DeadlineProblem& problem, std::vector<double> lambdas,
     pricing::ActionSet actions,
-    engine::DeadlineDpSpec::Algorithm algorithm =
-        engine::DeadlineDpSpec::Algorithm::kImproved) {
+    pricing::DpAlgorithm algorithm = pricing::DpAlgorithm::kImproved) {
   engine::DeadlineDpSpec spec;
   spec.problem = problem;
   spec.interval_lambdas = std::move(lambdas);

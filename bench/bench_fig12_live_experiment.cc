@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
                                     full_rate.MeanRate());
   const engine::PolicyArtifact plan_art = bench::SolveOrDie(
       bench::MakeDeadlineSpec(problem, lambdas, actions,
-                              engine::DeadlineDpSpec::Algorithm::kSimple),
+                              pricing::DpAlgorithm::kSimple),
       "dynamic grouping DP");
 
   Table dyn_table({"trial", "hours to finish", "cost ($)"});

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   BENCH_ASSIGN(lambdas, rate.IntervalMeans(14.0, 14));
   const engine::PolicyArtifact plan_art = bench::SolveOrDie(
       bench::MakeDeadlineSpec(problem, lambdas, actions,
-                              engine::DeadlineDpSpec::Algorithm::kSimple),
+                              pricing::DpAlgorithm::kSimple),
       "DP");
 
   market::SimulatorConfig config;

@@ -31,7 +31,7 @@
 namespace crowdprice {
 namespace {
 
-engine::DeadlineDpSpec DpSpec(int n, engine::DeadlineDpSpec::Algorithm algorithm,
+engine::DeadlineDpSpec DpSpec(int n, pricing::DpAlgorithm algorithm,
                               int num_threads) {
   auto acceptance = choice::LogitAcceptance::Paper2014();
   auto actions = pricing::ActionSet::FromPriceGrid(50, acceptance).value();
@@ -75,8 +75,7 @@ BENCHMARK(BM_SamplePoisson)->Arg(5)->Arg(95)->Arg(105)->Arg(5000);
 
 void BM_SimpleDp(benchmark::State& state) {
   const engine::DeadlineDpSpec spec =
-      DpSpec(static_cast<int>(state.range(0)),
-             engine::DeadlineDpSpec::Algorithm::kSimple,
+      DpSpec(static_cast<int>(state.range(0)), pricing::DpAlgorithm::kSimple,
              static_cast<int>(state.range(1)));
   for (auto _ : state) {
     auto artifact = engine::Solve(spec);
@@ -92,8 +91,7 @@ BENCHMARK(BM_SimpleDp)
 
 void BM_ImprovedDp(benchmark::State& state) {
   const engine::DeadlineDpSpec spec =
-      DpSpec(static_cast<int>(state.range(0)),
-             engine::DeadlineDpSpec::Algorithm::kImproved,
+      DpSpec(static_cast<int>(state.range(0)), pricing::DpAlgorithm::kImproved,
              static_cast<int>(state.range(1)));
   for (auto _ : state) {
     auto artifact = engine::Solve(spec);
@@ -283,9 +281,9 @@ void RunDp2000Headline() {
   const int n = bench::SmokeN(2000, 300);
   const int hw = engine::SolverPool::DefaultThreads();
   const engine::PolicyArtifact serial = bench::SolveOrDie(
-      DpSpec(n, engine::DeadlineDpSpec::Algorithm::kSimple, 1), "serial DP");
+      DpSpec(n, pricing::DpAlgorithm::kSimple, 1), "serial DP");
   const engine::PolicyArtifact parallel = bench::SolveOrDie(
-      DpSpec(n, engine::DeadlineDpSpec::Algorithm::kSimple, 0), "parallel DP");
+      DpSpec(n, pricing::DpAlgorithm::kSimple, 0), "parallel DP");
   const pricing::DeadlinePlan& a = **serial.deadline_plan();
   const pricing::DeadlinePlan& b = **parallel.deadline_plan();
   bool identical = true;

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <utility>
+#include <variant>
 
 #include "pricing/budget.h"
 #include "pricing/deadline_dp.h"
@@ -10,18 +11,16 @@
 #include "pricing/policy_eval.h"
 #include "pricing/tradeoff.h"
 #include "util/macros.h"
-#include "util/stringf.h"
 
 namespace crowdprice::engine {
 
 namespace {
 
-Result<PolicyArtifact> SolveDeadline(const PolicySpec& spec) {
-  return Engine::SolveDeadline(spec.get<DeadlineDpSpec>(), nullptr);
+Result<PolicyArtifact> SolveSpec(const DeadlineDpSpec& s) {
+  return Engine::SolveDeadline(s, nullptr);
 }
 
-Result<PolicyArtifact> SolveBudgetStatic(const PolicySpec& spec) {
-  const auto& s = spec.get<BudgetStaticSpec>();
+Result<PolicyArtifact> SolveSpec(const BudgetStaticSpec& s) {
   if (s.acceptance == nullptr) {
     return Status::InvalidArgument("BudgetStaticSpec.acceptance is required");
   }
@@ -39,8 +38,7 @@ Result<PolicyArtifact> SolveBudgetStatic(const PolicySpec& spec) {
   return PolicyArtifact(std::move(assignment));
 }
 
-Result<PolicyArtifact> SolveFixedPrice(const PolicySpec& spec) {
-  const auto& s = spec.get<FixedPriceSpec>();
+Result<PolicyArtifact> SolveSpec(const FixedPriceSpec& s) {
   if (s.acceptance == nullptr) {
     return Status::InvalidArgument("FixedPriceSpec.acceptance is required");
   }
@@ -65,8 +63,7 @@ Result<PolicyArtifact> SolveFixedPrice(const PolicySpec& spec) {
   return PolicyArtifact(std::move(solution).value());
 }
 
-Result<PolicyArtifact> SolveAdaptive(const PolicySpec& spec) {
-  const auto& s = spec.get<AdaptiveSpec>();
+Result<PolicyArtifact> SolveSpec(const AdaptiveSpec& s) {
   if (!s.actions.has_value()) {
     return Status::InvalidArgument("AdaptiveSpec.actions is required");
   }
@@ -79,8 +76,7 @@ Result<PolicyArtifact> SolveAdaptive(const PolicySpec& spec) {
                                        *s.actions, s.horizon_hours, s.options});
 }
 
-Result<PolicyArtifact> SolveMultiTypeSpec(const PolicySpec& spec) {
-  const auto& s = spec.get<MultiTypeSpec>();
+Result<PolicyArtifact> SolveSpec(const MultiTypeSpec& s) {
   CP_ASSIGN_OR_RETURN(
       pricing::JointLogitAcceptance joint,
       pricing::JointLogitAcceptance::Create(s.s1, s.b1, s.s2, s.b2, s.m));
@@ -92,8 +88,7 @@ Result<PolicyArtifact> SolveMultiTypeSpec(const PolicySpec& spec) {
   return PolicyArtifact(std::move(plan));
 }
 
-Result<PolicyArtifact> SolveTradeoff(const PolicySpec& spec) {
-  const auto& s = spec.get<TradeoffSpec>();
+Result<PolicyArtifact> SolveSpec(const TradeoffSpec& s) {
   if (s.acceptance == nullptr) {
     return Status::InvalidArgument("TradeoffSpec.acceptance is required");
   }
@@ -122,65 +117,10 @@ const char* KindName(PolicyKind kind) {
   return "unknown";
 }
 
-SolverRegistry& SolverRegistry::Global() {
-  static SolverRegistry* registry = [] {
-    auto* r = new SolverRegistry();
-    (void)r->Register(PolicyKind::kDeadlineDp, "deadline-dp/backward-induction",
-                      SolveDeadline);
-    (void)r->Register(PolicyKind::kBudgetStatic,
-                      "budget-static/hull-lp+exact-dp", SolveBudgetStatic);
-    (void)r->Register(PolicyKind::kFixedPrice, "fixed-price/binary-search",
-                      SolveFixedPrice);
-    (void)r->Register(PolicyKind::kAdaptive, "adaptive/rate-correction",
-                      SolveAdaptive);
-    (void)r->Register(PolicyKind::kMultiType, "multitype/joint-dp",
-                      SolveMultiTypeSpec);
-    (void)r->Register(PolicyKind::kTradeoff, "tradeoff/per-task-decoupled",
-                      SolveTradeoff);
-    return r;
-  }();
-  return *registry;
-}
-
-Status SolverRegistry::Register(PolicyKind kind, std::string name,
-                                SolverFn solver) {
-  if (!solver) {
-    return Status::InvalidArgument("cannot register a null solver");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  solvers_[kind] = Entry{std::move(name), std::move(solver)};
-  return Status::OK();
-}
-
-Result<SolverRegistry::SolverFn> SolverRegistry::Find(PolicyKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = solvers_.find(kind);
-  if (it == solvers_.end()) {
-    return Status::NotFound(
-        StringF("no solver registered for kind '%s'", KindName(kind)));
-  }
-  return it->second.solver;
-}
-
-std::vector<std::string> SolverRegistry::Describe() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(solvers_.size());
-  for (const auto& [kind, entry] : solvers_) {
-    out.push_back(StringF("%s -> %s", KindName(kind), entry.name.c_str()));
-  }
-  return out;
-}
-
-Result<PolicyArtifact> Engine::Solve(const SolverRegistry& registry,
-                                     const PolicySpec& spec) {
-  CP_ASSIGN_OR_RETURN(SolverRegistry::SolverFn solver,
-                      registry.Find(spec.kind()));
-  return solver(spec);
-}
-
+// One overload per PolicySpec alternative: a kind without a solver fails
+// to compile here instead of failing at run time.
 Result<PolicyArtifact> Engine::Solve(const PolicySpec& spec) {
-  return Solve(SolverRegistry::Global(), spec);
+  return std::visit([](const auto& s) { return SolveSpec(s); }, spec.config());
 }
 
 Result<PolicyArtifact> Engine::SolveDeadline(
@@ -191,9 +131,9 @@ Result<PolicyArtifact> Engine::SolveDeadline(
   if (s.expected_remaining_bound.has_value()) {
     // Theorem 2 penalty bisection; the inner solves honor the spec's
     // algorithm choice (kSimple is required for bundled action sets).
-    pricing::BoundSolveOptions options = s.bound_options;
+    pricing::BoundSolveOptions options;
+    options.algorithm = s.algorithm;
     options.dp_options = s.dp_options;
-    options.use_simple_dp = s.algorithm == DeadlineDpSpec::Algorithm::kSimple;
     CP_ASSIGN_OR_RETURN(
         pricing::BoundSolveResult bound,
         pricing::SolveForExpectedRemaining(s.problem, s.interval_lambdas,

@@ -5,8 +5,8 @@
 // §4, the fixed-price baseline of §5.2, the adaptive re-planner of §5.2.5,
 // and the §6 extensions). Before the engine existed each caller wired the
 // family it wanted by hand; a PolicySpec names the family (PolicyKind) plus
-// its options, so callers describe *what* policy they want and the
-// SolverRegistry picks *how* to produce it.
+// its options, so callers describe *what* policy they want and Engine::Solve
+// runs that family's solver.
 //
 // Acceptance functions are held by const pointer and are NOT owned: the
 // caller keeps the AcceptanceFunction alive until Solve returns (specs are
@@ -25,7 +25,6 @@
 #include "pricing/adaptive.h"
 #include "pricing/deadline_dp.h"
 #include "pricing/multitype.h"
-#include "pricing/penalty_search.h"
 #include "pricing/problem.h"
 
 namespace crowdprice::engine {
@@ -48,24 +47,21 @@ const char* KindName(PolicyKind kind);
 /// when `expected_remaining_bound` is set -- through the Theorem 2 penalty
 /// bisection to hit an E[remaining] target.
 struct DeadlineDpSpec {
-  /// kSimple (Algorithm 1) is required for bundled (multi-task HIT)
-  /// actions; kImproved (Algorithm 2) takes unit-bundle action sets only.
-  using Algorithm = pricing::DpAlgorithm;
-
   pricing::DeadlineProblem problem;
   std::vector<double> interval_lambdas;
   /// Required. Optional only so the struct stays aggregate-constructible;
   /// Solve rejects a spec without it.
   std::optional<pricing::ActionSet> actions;
-  Algorithm algorithm = Algorithm::kImproved;
+  /// kSimple (Algorithm 1) is required for bundled (multi-task HIT)
+  /// actions; kImproved (Algorithm 2) takes unit-bundle action sets only.
+  pricing::DpAlgorithm algorithm = pricing::DpAlgorithm::kImproved;
   pricing::DpOptions dp_options;
   /// When set, problem.penalty_cents is ignored and the penalty is found by
   /// bisection so the optimal policy satisfies E[remaining] <= bound; the
   /// artifact then also carries the nominal PolicyEvaluation. The bisection's
-  /// inner solves use `algorithm` too.
+  /// inner solves use `algorithm` and `dp_options` too, with the default
+  /// pricing::BoundSolveOptions schedule.
   std::optional<double> expected_remaining_bound;
-  /// dp_options and use_simple_dp are overwritten from the fields above.
-  pricing::BoundSolveOptions bound_options;
 };
 
 /// Budget-constrained static pricing (§4): the Algorithm 3 rounded LP or

@@ -14,23 +14,20 @@ namespace crowdprice::engine {
 
 namespace {
 
-// One deadline campaign's farm job: the wave's cache and kernel override,
-// single-threaded (the wave's parallelism is across campaigns, not within
-// one solve -- plans are bit-identical either way), over its grid's
-// tables when the wave built them.
+// One deadline campaign's farm job: the wave's cache, single-threaded (the
+// wave's parallelism is across campaigns, not within one solve -- plans are
+// bit-identical either way), over its grid's tables when the wave built
+// them. The solve and its evaluation run on the spec's kernel backend.
 Result<PolicyArtifact> SolveCampaign(const DeadlineDpSpec& spec,
                                      const pricing::DeadlineTables* tables,
                                      const SolveWaveOptions& options) {
   DeadlineDpSpec s = spec;
   s.dp_options.share_cache = options.share_cache;
   s.dp_options.num_threads = 1;
-  if (!options.kernel_backend.empty()) {
-    s.dp_options.kernel_backend = options.kernel_backend;
-  }
   Result<PolicyArtifact> solved = Engine::SolveDeadline(s, tables);
   if (solved.ok() && options.evaluate) {
     pricing::EvalOptions eval_options;
-    eval_options.kernel_backend = options.kernel_backend;
+    eval_options.kernel_backend = s.dp_options.kernel_backend;
     eval_options.share_cache = options.share_cache;
     CP_RETURN_IF_ERROR(solved.value().PrecomputeEvaluation(eval_options));
   }

@@ -32,7 +32,6 @@
 #define CROWDPRICE_ENGINE_SOLVE_WAVE_H_
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "engine/engine.h"
@@ -54,10 +53,6 @@ struct SolveWaveOptions {
   /// farm jobs -- the batched replacement for a sequential per-campaign
   /// Evaluate() loop.
   bool evaluate = false;
-  /// LayerScanKernel backend override for the wave's deadline solves and
-  /// evaluations; empty keeps each spec's own setting / the automatic
-  /// choice.
-  std::string kernel_backend;
 };
 
 /// Solves every spec, fanned out over the farm; results in spec order.

@@ -7,37 +7,19 @@
 
 namespace crowdprice::kernel {
 
-KernelRegistry& KernelRegistry::Global() {
-  static KernelRegistry* registry = [] {
-    auto* r = new KernelRegistry();
-    (void)r->Register(MakeScalarKernel());
-    // Feature-probed backends, ascending preference; factories return
-    // nullptr on hosts that cannot run them.
-    if (auto neon = MakeNeonKernel()) {
-      (void)r->Register(std::move(neon));
-    }
-    if (auto avx2 = MakeAvx2Kernel()) {
-      (void)r->Register(std::move(avx2));
-    }
-    return r;
-  }();
-  return *registry;
+KernelRegistry::KernelRegistry() {
+  // Ascending preference; the SIMD factories return nullptr on hosts that
+  // cannot run them.
+  std::unique_ptr<LayerScanKernel> probed[] = {
+      MakeScalarKernel(), MakeNeonKernel(), MakeAvx2Kernel()};
+  for (auto& kernel : probed) {
+    if (kernel) kernels_.push_back(std::move(kernel));
+  }
 }
 
-Status KernelRegistry::Register(std::unique_ptr<LayerScanKernel> kernel) {
-  if (!kernel) {
-    return Status::InvalidArgument("cannot register a null kernel backend");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string name = kernel->name();
-  for (size_t i = 0; i < kernels_.size(); ++i) {
-    if (kernels_[i]->name() == name) {
-      kernels_.erase(kernels_.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  kernels_.push_back(std::move(kernel));
-  return Status::OK();
+const KernelRegistry& KernelRegistry::Global() {
+  static const KernelRegistry* registry = new KernelRegistry();
+  return *registry;
 }
 
 Result<const LayerScanKernel*> KernelRegistry::Resolve(
@@ -47,17 +29,11 @@ Result<const LayerScanKernel*> KernelRegistry::Resolve(
     const char* env = std::getenv("CROWDPRICE_KERNEL");
     if (env != nullptr && env[0] != '\0') wanted = env;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (kernels_.empty()) {
-    return Status::NotFound("no kernel backends registered");
-  }
   if (wanted.empty()) {
     return kernels_.back().get();
   }
-  for (size_t i = kernels_.size(); i > 0; --i) {
-    if (wanted == kernels_[i - 1]->name()) {
-      return kernels_[i - 1].get();
-    }
+  for (const auto& k : kernels_) {
+    if (wanted == k->name()) return k.get();
   }
   std::string available;
   for (const auto& k : kernels_) {
@@ -70,7 +46,6 @@ Result<const LayerScanKernel*> KernelRegistry::Resolve(
 }
 
 std::vector<std::string> KernelRegistry::Available() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   out.reserve(kernels_.size());
   for (const auto& k : kernels_) out.push_back(k->name());

@@ -1,5 +1,5 @@
 // LayerScanKernel: the batched, runtime-dispatched inner loops of the DP
-// solvers, mirroring how SolverRegistry abstracts whole solvers.
+// solvers.
 //
 // The deadline MDP's hot path evaluates
 //
@@ -16,10 +16,10 @@
 // Backends and dispatch. Three backends ship: "scalar" (portable, one
 // state at a time), "avx2" (x86 FMA, states evaluated four per vector) and
 // "neon" (aarch64, two per vector).
-// KernelRegistry::Global() registers whatever the host supports -- probed
-// via cpu feature detection at startup -- and resolves the empty name to
-// the $CROWDPRICE_KERNEL override or the fastest registered backend, so
-// tests and benches can force any backend per solve.
+// KernelRegistry::Global() is a fixed table of whatever the host supports
+// -- probed via cpu feature detection once, on first use -- and resolves
+// the empty name to the $CROWDPRICE_KERNEL override or the fastest
+// backend, so tests and benches can force any backend per solve.
 //
 // Contract every backend must honor:
 //  * Every entry point computes each output with the one fused arithmetic
@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,7 @@ class LayerScanKernel {
  public:
   virtual ~LayerScanKernel() = default;
 
-  /// Stable backend name ("scalar", "avx2", "neon"); the registry key and
+  /// Stable backend name ("scalar", "avx2", "neon"); the table key and
   /// the value recorded in plan/artifact metadata.
   virtual const char* name() const = 0;
 
@@ -115,39 +114,32 @@ class LayerScanKernel {
 };
 
 /// Backend factories. Each returns nullptr when the host CPU (or build
-/// architecture) cannot execute the backend, so registration is safe to
-/// attempt unconditionally.
+/// architecture) cannot execute the backend, so probing is safe to attempt
+/// unconditionally.
 std::unique_ptr<LayerScanKernel> MakeScalarKernel();
 std::unique_ptr<LayerScanKernel> MakeAvx2Kernel();
 std::unique_ptr<LayerScanKernel> MakeNeonKernel();
 
-/// Process-wide backend table, mirroring engine::SolverRegistry. Later
-/// registrations take precedence for automatic selection, so an
-/// accelerator backend registered at startup becomes the default without
-/// touching solver call sites.
+/// Process-wide, immutable backend table.
 class KernelRegistry {
  public:
-  /// The global registry, populated on first use with "scalar" plus every
-  /// SIMD backend the host supports (feature-probed, in ascending
-  /// preference order).
-  static KernelRegistry& Global();
-
-  /// Registers a backend (its name() is the key; re-registering a name
-  /// replaces it and moves it to highest preference).
-  Status Register(std::unique_ptr<LayerScanKernel> kernel);
+  /// The table, built on first use: "scalar", then every SIMD backend the
+  /// host supports (feature-probed), in ascending preference order.
+  static const KernelRegistry& Global();
 
   /// Resolves a backend by name. The empty name selects, in order: the
   /// $CROWDPRICE_KERNEL environment override when set (unknown values are
   /// an error, so typos surface instead of silently falling back), else
-  /// the highest-preference registered backend. Unknown non-empty names
-  /// are NotFound listing what is available.
+  /// the highest-preference backend. Unknown non-empty names are NotFound
+  /// listing what is available.
   Result<const LayerScanKernel*> Resolve(const std::string& name) const;
 
-  /// Registered backend names, ascending preference.
+  /// Backend names, ascending preference.
   std::vector<std::string> Available() const;
 
  private:
-  mutable std::mutex mu_;
+  KernelRegistry();
+
   std::vector<std::unique_ptr<LayerScanKernel>> kernels_;
 };
 

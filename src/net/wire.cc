@@ -398,62 +398,12 @@ Status DecodeStatusFragment(const std::string& fragment, Status* decoded) {
   return Status::OK();
 }
 
-std::string SerializeDecisionRequest(const market::DecisionRequest& request) {
-  std::ostringstream out;
-  out << "request ";
-  AppendRequestFields(request, &out);
-  out << "\n";
-  return out.str();
-}
-
-Result<market::DecisionRequest> DeserializeDecisionRequest(
-    const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("request line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "request line"));
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() < 4 || tokens[0] != "request") {
-    return Status::InvalidArgument(
-        "expected 'request <now> <campaign> <k> ...'");
-  }
-  return ParseRequestFields(tokens, 1, "request line");
-}
-
 std::string SerializeOfferSheet(const market::OfferSheet& sheet) {
   std::ostringstream out;
   out << "sheet ";
   AppendSheetFields(sheet, &out);
   out << "\n";
   return out.str();
-}
-
-Result<market::OfferSheet> DeserializeOfferSheet(const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("sheet line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "sheet line"));
-  std::istringstream ss(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (ss >> token) tokens.push_back(token);
-  if (tokens.size() < 2 || tokens[0] != "sheet") {
-    return Status::InvalidArgument("expected 'sheet <k> ...'");
-  }
-  return ParseSheetFields(tokens, 1, "sheet line");
-}
-
-std::string SerializeDecideResponse(const serving::DecideResponse& response) {
-  return SerializeDecideResponseLine(response) + "\n";
-}
-
-Result<serving::DecideResponse> DeserializeDecideResponse(
-    const std::string& text) {
-  Cursor cursor(text);
-  CP_ASSIGN_OR_RETURN(std::string line, cursor.Line("response line"));
-  CP_RETURN_IF_ERROR(ExpectEnd(cursor, "response line"));
-  return ParseDecideResponseLine(line, "response line");
 }
 
 Result<std::string> SerializeControlOp(const serving::ControlOp& op) {

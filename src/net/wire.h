@@ -103,21 +103,12 @@ std::string EncodeStatusFragment(const Status& status);
 /// escapes, OK when `*decoded` holds the transported status.
 Status DecodeStatusFragment(const std::string& fragment, Status* decoded);
 
-// --- Single-object payload codecs ----------------------------------------
-// Each Serialize emits one '\n'-terminated line ("request ...",
-// "sheet ...", "response ..."); each Deserialize requires exactly that
-// line and nothing else.
+// --- Sheet and control payload codecs -------------------------------------
 
-std::string SerializeDecisionRequest(const market::DecisionRequest& request);
-Result<market::DecisionRequest> DeserializeDecisionRequest(
-    const std::string& text);
-
+/// One '\n'-terminated "sheet <k> <price> <group> ..." line: the sheet
+/// fields of an ok response line, canonical, so two sheets serialize to
+/// the same bytes iff they are bit-identical.
 std::string SerializeOfferSheet(const market::OfferSheet& sheet);
-Result<market::OfferSheet> DeserializeOfferSheet(const std::string& text);
-
-std::string SerializeDecideResponse(const serving::DecideResponse& response);
-Result<serving::DecideResponse> DeserializeDecideResponse(
-    const std::string& text);
 
 /// Control ops serialize to a "control ..." stanza; admit and swap ops
 /// embed their artifact's Serialize() text as a byte-counted block.

@@ -26,9 +26,7 @@ Result<Attempt> TryPenalty(const DeadlineProblem& base,
   problem.penalty_cents = penalty;
   CP_ASSIGN_OR_RETURN(
       DeadlinePlan plan,
-      SolveDeadlineDp(problem, lambdas, actions,
-                      options.use_simple_dp ? DpAlgorithm::kSimple
-                                            : DpAlgorithm::kImproved,
+      SolveDeadlineDp(problem, lambdas, actions, options.algorithm,
                       options.dp_options, &tables));
   CP_ASSIGN_OR_RETURN(PolicyEvaluation eval, EvaluatePolicyNominal(plan));
   return Attempt{std::move(plan), std::move(eval), penalty};

@@ -31,9 +31,9 @@ struct BoundSolveOptions {
   /// Growth cap: give up if Penalty exceeds this without meeting the bound.
   /// Must be finite and >= initial_penalty.
   double max_penalty = 1e9;
-  /// Run each inner solve with Algorithm 1 instead of Algorithm 2;
-  /// required for bundled (multi-task HIT) action sets.
-  bool use_simple_dp = false;
+  /// The inner solves' algorithm; kSimple (Algorithm 1) is required for
+  /// bundled (multi-task HIT) action sets.
+  DpAlgorithm algorithm = DpAlgorithm::kImproved;
   DpOptions dp_options;
 };
 

@@ -36,7 +36,7 @@ namespace crowdprice::pricing {
 /// backend evaluates bit-identically, and the cache only shares tables.
 struct EvalOptions {
   /// LayerScanKernel backend for the forward pass; empty selects the
-  /// $CROWDPRICE_KERNEL override when set, else the fastest registered.
+  /// $CROWDPRICE_KERNEL override when set, else the fastest available.
   std::string kernel_backend;
   /// Cross-solve cache for freshly built evaluation tables (exact-bit
   /// keys; see kernel/pmf_cache.h). Not owned; may be null.

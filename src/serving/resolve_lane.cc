@@ -49,8 +49,8 @@ Status ResolveLane::EnqueueRescale(CampaignId id, double factor) {
   }
   spec.actions = plan->actions();
   spec.algorithm = plan->actions().uniform_unit_bundle()
-                       ? engine::DeadlineDpSpec::Algorithm::kImproved
-                       : engine::DeadlineDpSpec::Algorithm::kSimple;
+                       ? pricing::DpAlgorithm::kImproved
+                       : pricing::DpAlgorithm::kSimple;
   // One worker per solve (the farm's parallelism is across campaigns);
   // re-solves share pmf blocks through the process-wide cache.
   spec.dp_options.num_threads = 1;

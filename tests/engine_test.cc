@@ -1,12 +1,13 @@
-// Engine, SolverRegistry and PolicyArtifact tests: every built-in kind
-// solves through Engine::Solve, artifacts play as controllers, and the
-// persistable kinds round-trip through Serialize/Deserialize with
-// bit-identical Decide outputs.
+// Engine and PolicyArtifact tests: every built-in kind solves through
+// Engine::Solve into an artifact of its kind, artifacts play as
+// controllers, and the persistable kinds round-trip through
+// Serialize/Deserialize with bit-identical Decide outputs.
 
 #include "engine/engine.h"
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,47 +54,6 @@ void ExpectIdenticalDecisions(market::PricingController& a,
   }
 }
 
-TEST(SolverRegistryTest, GlobalRegistryKnowsEveryBuiltInKind) {
-  for (PolicyKind kind :
-       {PolicyKind::kDeadlineDp, PolicyKind::kBudgetStatic,
-        PolicyKind::kFixedPrice, PolicyKind::kAdaptive, PolicyKind::kMultiType,
-        PolicyKind::kTradeoff}) {
-    EXPECT_TRUE(SolverRegistry::Global().Find(kind).ok())
-        << "missing solver for " << KindName(kind);
-  }
-  EXPECT_EQ(SolverRegistry::Global().Describe().size(), 6u);
-}
-
-TEST(SolverRegistryTest, SideRegistryOverridesWithoutTouchingGlobal) {
-  SolverRegistry side;
-  EXPECT_TRUE(side.Find(PolicyKind::kFixedPrice).status().IsNotFound());
-  ASSERT_TRUE(side.Register(PolicyKind::kFixedPrice, "stub",
-                            [](const PolicySpec&) -> Result<PolicyArtifact> {
-                              pricing::FixedPriceSolution fixed;
-                              fixed.price_cents = 42;
-                              return PolicyArtifact(fixed);
-                            })
-                  .ok());
-  FixedPriceSpec spec;
-  spec.num_tasks = 10;
-  spec.interval_lambdas.assign(4, 2000.0);
-  spec.acceptance = &PaperAcceptance();
-  spec.max_price_cents = 50;
-  auto artifact = Engine::Solve(side, spec);
-  ASSERT_TRUE(artifact.ok()) << artifact.status();
-  EXPECT_EQ((*artifact->fixed_price())->price_cents, 42);
-  // The global registry is unaffected: it still solves properly.
-  auto real = Engine::Solve(spec);
-  ASSERT_TRUE(real.ok()) << real.status();
-  EXPECT_NE((*real->fixed_price())->price_cents, 42);
-}
-
-TEST(SolverRegistryTest, RejectsNullSolver) {
-  SolverRegistry side;
-  EXPECT_TRUE(side.Register(PolicyKind::kDeadlineDp, "null", nullptr)
-                  .IsInvalidArgument());
-}
-
 TEST(EngineTest, DeadlineSpecSolvesAndScores) {
   auto artifact = Solve(SmallDeadlineSpec());
   ASSERT_TRUE(artifact.ok()) << artifact.status();
@@ -131,9 +91,9 @@ TEST(EngineTest, BoundedDeadlineSpecCachesEvaluation) {
 
 TEST(EngineTest, DeadlineAlgorithmsMatchThroughTheEngine) {
   DeadlineDpSpec spec = SmallDeadlineSpec();
-  spec.algorithm = DeadlineDpSpec::Algorithm::kSimple;
+  spec.algorithm = pricing::DpAlgorithm::kSimple;
   auto simple = Solve(spec);
-  spec.algorithm = DeadlineDpSpec::Algorithm::kImproved;
+  spec.algorithm = pricing::DpAlgorithm::kImproved;
   auto improved = Solve(spec);
   ASSERT_TRUE(simple.ok() && improved.ok());
   const pricing::DeadlinePlan& a = **simple->deadline_plan();
@@ -161,13 +121,13 @@ TEST(EngineTest, BoundedDeadlineHonorsSimpleAlgorithmForBundledActions) {
   spec.problem.num_intervals = 5;
   spec.interval_lambdas.assign(5, 4000.0);
   spec.actions = pricing::ActionSet::FromActions(raw).value();
-  spec.algorithm = DeadlineDpSpec::Algorithm::kSimple;
+  spec.algorithm = pricing::DpAlgorithm::kSimple;
   spec.expected_remaining_bound = 2.0;
   auto artifact = Solve(spec);
   ASSERT_TRUE(artifact.ok()) << artifact.status();
   EXPECT_LE((*artifact->deadline_evaluation())->expected_remaining, 2.0);
   // The improved algorithm rejects the same bundled set with a clear error.
-  spec.algorithm = DeadlineDpSpec::Algorithm::kImproved;
+  spec.algorithm = pricing::DpAlgorithm::kImproved;
   EXPECT_TRUE(Solve(spec).status().IsFailedPrecondition());
 }
 
@@ -373,8 +333,8 @@ TEST(EngineTest, MultiTypeSpecSolvesAndPlays) {
 }
 
 TEST(EngineTest, EveryPolicyKindIsPlayable) {
-  // The ROADMAP "engine coverage" criterion: MakeController succeeds for
-  // all six kinds -- no Unimplemented path left.
+  // Engine::Solve dispatches each of the six kinds to its own solver, and
+  // MakeController succeeds for all of them -- no Unimplemented path left.
   std::vector<PolicySpec> specs;
   specs.push_back(SmallDeadlineSpec());
   BudgetStaticSpec budget;
@@ -406,10 +366,14 @@ TEST(EngineTest, EveryPolicyKindIsPlayable) {
   tradeoff.max_price_cents = 60;
   specs.push_back(tradeoff);
 
-  for (const PolicySpec& spec : specs) {
-    auto artifact = Solve(spec);
+  ASSERT_EQ(specs.size(), std::variant_size_v<PolicySpec::Config>);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const PolicySpec& spec = specs[i];
+    ASSERT_EQ(spec.kind(), static_cast<PolicyKind>(i));
+    auto artifact = Engine::Solve(spec);
     ASSERT_TRUE(artifact.ok())
         << KindName(spec.kind()) << ": " << artifact.status();
+    EXPECT_EQ(artifact->kind(), spec.kind());
     auto controller = artifact->MakeController(8.0);
     ASSERT_TRUE(controller.ok())
         << KindName(spec.kind()) << ": " << controller.status();

@@ -240,11 +240,9 @@ ReferenceSearch FreshSolveSearch(const DeadlineProblem& base,
   const auto attempt = [&](double penalty) {
     DeadlineProblem problem = base;
     problem.penalty_cents = penalty;
-    DeadlinePlan plan =
-        (options.use_simple_dp
-             ? SolveSimpleDp(problem, lambdas, actions, options.dp_options)
-             : SolveImprovedDp(problem, lambdas, actions, options.dp_options))
-            .value();
+    DeadlinePlan plan = SolveDeadlineDp(problem, lambdas, actions,
+                                        options.algorithm, options.dp_options)
+                            .value();
     PolicyEvaluation eval = EvaluatePolicyNominal(plan).value();
     return ReferenceSearch{std::move(plan), std::move(eval), penalty, 0};
   };
@@ -284,13 +282,15 @@ TEST(PenaltySearchTest, SharedTablesMatchFreshSolves) {
     lambdas.push_back(700.0 + 90.0 * (t % 4));  // periodic: tables repeat
   }
   const double bound = 0.5;
-  for (bool simple : {false, true}) {
+  for (DpAlgorithm algorithm : {DpAlgorithm::kImproved, DpAlgorithm::kSimple}) {
     for (const char* backend : {"scalar", ""}) {
-      SCOPED_TRACE(testing::Message() << (simple ? "Algorithm 1" : "Algorithm 2")
-                                      << ", backend '" << backend << "'");
+      SCOPED_TRACE(testing::Message()
+                   << (algorithm == DpAlgorithm::kSimple ? "Algorithm 1"
+                                                         : "Algorithm 2")
+                   << ", backend '" << backend << "'");
       kernel::PmfShareCache cache;
       BoundSolveOptions options;
-      options.use_simple_dp = simple;
+      options.algorithm = algorithm;
       options.dp_options.kernel_backend = backend;
       options.dp_options.share_cache = &cache;
       const BoundSolveResult got =
@@ -313,8 +313,7 @@ TEST(PenaltySearchTest, SharedTablesMatchFreshSolves) {
       DeadlineProblem at = p;
       at.penalty_cents = got.penalty_used;
       const DeadlinePlan fresh =
-          (simple ? SolveSimpleDp(at, lambdas, actions, options.dp_options)
-                  : SolveImprovedDp(at, lambdas, actions, options.dp_options))
+          SolveDeadlineDp(at, lambdas, actions, algorithm, options.dp_options)
               .value();
       EXPECT_EQ(SerializePlan(got.plan), SerializePlan(fresh));
       const PolicyEvaluation eval = EvaluatePolicyNominal(fresh).value();
@@ -361,7 +360,8 @@ TEST(PenaltySearchTest, ThreadCountsGiveByteIdenticalSearches) {
       EXPECT_EQ(tables.LayerWork(0, p.num_tasks, !simple) >= kLayerFanOutGrain,
                 grid.clears_grain);
       BoundSolveOptions options;
-      options.use_simple_dp = simple;
+      options.algorithm =
+          simple ? DpAlgorithm::kSimple : DpAlgorithm::kImproved;
       options.dp_options.num_threads = 1;
       const BoundSolveResult serial =
           SolveForExpectedRemaining(p, grid.lambdas, actions, 0.5, options)

@@ -368,56 +368,63 @@ TEST(WireFrameTest, MalformedHeadersAreStatusErrors) {
 }
 
 TEST(WireSerializationTest, DecisionRequestRoundTripIsBitExact) {
-  market::DecisionRequest request;
-  request.now_hours = 1.0 / 3.0;
-  request.campaign_hours = 0.1;
-  request.remaining = {17, 0, 123456789012345};
-  const std::string text = SerializeDecisionRequest(request);
-  const auto restored = DeserializeDecisionRequest(text);
+  serving::DecideRequest request;
+  request.campaign_id = 6;
+  request.request.now_hours = 1.0 / 3.0;
+  request.request.campaign_hours = 0.1;
+  request.request.remaining = {17, 0, 123456789012345};
+  const std::string text = SerializeDecideBatchRequest({request});
+  const auto restored = DeserializeDecideBatchRequest(text);
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->now_hours, request.now_hours);
-  EXPECT_EQ(restored->campaign_hours, request.campaign_hours);
-  EXPECT_EQ(restored->remaining, request.remaining);
+  ASSERT_EQ(restored->size(), 1u);
+  EXPECT_EQ((*restored)[0].campaign_id, 6u);
+  EXPECT_EQ((*restored)[0].request.now_hours, request.request.now_hours);
+  EXPECT_EQ((*restored)[0].request.campaign_hours,
+            request.request.campaign_hours);
+  EXPECT_EQ((*restored)[0].request.remaining, request.request.remaining);
   // Hex-float convention: re-serializing reproduces the bytes.
-  EXPECT_EQ(SerializeDecisionRequest(*restored), text);
+  EXPECT_EQ(SerializeDecideBatchRequest(*restored), text);
 }
 
 TEST(WireSerializationTest, OfferSheetRoundTripIsBitExact) {
-  market::OfferSheet sheet;
-  sheet.offers = {{12.75, 1}, {0.0, 3}, {99.999999999, 40}};
-  const std::string text = SerializeOfferSheet(sheet);
-  const auto restored = DeserializeOfferSheet(text);
+  serving::DecideResponse response;
+  response.campaign_id = 5;
+  response.sheet.offers = {{12.75, 1}, {0.0, 3}, {99.999999999, 40}};
+  const std::string text = SerializeDecideBatchResponse({response});
+  const auto restored = DeserializeDecideBatchResponse(text);
   ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->offers.size(), sheet.offers.size());
+  ASSERT_EQ(restored->size(), 1u);
+  const market::OfferSheet& sheet = (*restored)[0].sheet;
+  ASSERT_EQ(sheet.offers.size(), response.sheet.offers.size());
   for (size_t i = 0; i < sheet.offers.size(); ++i) {
-    EXPECT_EQ(restored->offers[i].per_task_reward_cents,
-              sheet.offers[i].per_task_reward_cents);
-    EXPECT_EQ(restored->offers[i].group_size, sheet.offers[i].group_size);
+    EXPECT_EQ(sheet.offers[i].per_task_reward_cents,
+              response.sheet.offers[i].per_task_reward_cents);
+    EXPECT_EQ(sheet.offers[i].group_size, response.sheet.offers[i].group_size);
   }
-  EXPECT_EQ(SerializeOfferSheet(*restored), text);
+  EXPECT_EQ(SerializeDecideBatchResponse(*restored), text);
+  EXPECT_EQ(SerializeOfferSheet(sheet), SerializeOfferSheet(response.sheet));
 }
 
 TEST(WireSerializationTest, DecideResponseCarriesSheetOrStatus) {
-  serving::DecideResponse ok;
-  ok.campaign_id = 7;
-  ok.sheet = market::OfferSheet::Single({33.5, 2});
-  const auto ok_restored = DeserializeDecideResponse(SerializeDecideResponse(ok));
-  ASSERT_TRUE(ok_restored.ok());
-  EXPECT_EQ(ok_restored->campaign_id, 7u);
-  EXPECT_TRUE(ok_restored->status.ok());
-  ASSERT_EQ(ok_restored->sheet.offers.size(), 1u);
-  EXPECT_EQ(ok_restored->sheet.offers[0].per_task_reward_cents, 33.5);
-
+  std::vector<serving::DecideResponse> responses(2);
+  responses[0].campaign_id = 7;
+  responses[0].sheet = market::OfferSheet::Single({33.5, 2});
   // Failures survive with code and message intact, quirky bytes included.
-  serving::DecideResponse err;
-  err.campaign_id = 8;
-  err.status = Status::NotFound("campaign 8\nis not\\ live  here");
-  const auto err_restored =
-      DeserializeDecideResponse(SerializeDecideResponse(err));
-  ASSERT_TRUE(err_restored.ok());
-  EXPECT_EQ(err_restored->campaign_id, 8u);
-  EXPECT_TRUE(err_restored->status.IsNotFound());
-  EXPECT_EQ(err_restored->status.message(), err.status.message());
+  responses[1].campaign_id = 8;
+  responses[1].status = Status::NotFound("campaign 8\nis not\\ live  here");
+  const auto restored =
+      DeserializeDecideBatchResponse(SerializeDecideBatchResponse(responses));
+  ASSERT_TRUE(restored.ok());
+  ASSERT_EQ(restored->size(), 2u);
+  const serving::DecideResponse& ok = (*restored)[0];
+  EXPECT_EQ(ok.campaign_id, 7u);
+  EXPECT_TRUE(ok.status.ok());
+  ASSERT_EQ(ok.sheet.offers.size(), 1u);
+  EXPECT_EQ(ok.sheet.offers[0].per_task_reward_cents, 33.5);
+  const serving::DecideResponse& err = (*restored)[1];
+  EXPECT_EQ(err.campaign_id, 8u);
+  EXPECT_TRUE(err.status.IsNotFound());
+  EXPECT_EQ(err.status.message(), responses[1].status.message());
 }
 
 TEST(WireSerializationTest, ControlOpsRoundTripIncludingArtifactBlocks) {
@@ -538,8 +545,6 @@ TEST(WireSerializationTest, DecideBatchesRoundTripIndexForIndex) {
 
 TEST(WireSerializationTest, MalformedPayloadsAreStatusErrorsNeverCrashes) {
   // Empty and truncated inputs.
-  EXPECT_FALSE(DeserializeDecisionRequest("").ok());
-  EXPECT_FALSE(DeserializeOfferSheet("").ok());
   EXPECT_FALSE(DeserializeControlOp("").ok());
   EXPECT_FALSE(DeserializeControlAck("").ok());
   EXPECT_FALSE(DeserializeDecideBatchRequest("").ok());
@@ -574,16 +579,38 @@ TEST(WireSerializationTest, MalformedPayloadsAreStatusErrorsNeverCrashes) {
       SplitDecideBatchPayload("err 8 x\n", "batch", DecidePayload::kResponse)
           .status()
           .IsUnavailable());
-  // Garbage numbers inside an otherwise shaped line.
-  EXPECT_FALSE(DeserializeDecisionRequest("request x y 1 5\n").ok());
-  EXPECT_FALSE(DeserializeOfferSheet("sheet 1 nope 1\n").ok());
-  // Wrong leading keyword.
-  EXPECT_FALSE(DeserializeDecisionRequest("sheet 1 0x1p0 1\n").ok());
-  // Trailing garbage after a complete object.
-  market::DecisionRequest request = market::DecisionRequest::Single(1.0, 5);
+  // Garbage numbers inside an otherwise shaped line: a bad campaign id,
+  // a bad clock, a bad price.
+  for (const char* bad : {"request x y 1 5", "request 1 x y 1 5"}) {
+    EXPECT_FALSE(ParseDecideRequestLine(bad, "line").ok()) << bad;
+    EXPECT_FALSE(DeserializeDecideBatchRequest(JoinDecideBatchPayload({bad}))
+                     .ok())
+        << bad;
+  }
+  EXPECT_FALSE(DeserializeDecideBatchResponse(
+                   JoinDecideBatchPayload({"response 1 ok 1 nope 1"}))
+                   .ok());
+  // Wrong leading keyword on an otherwise valid request line.
+  const auto request = serving::DecideRequest::Single(3, 1.0, 5);
+  const std::string line =
+      SplitDecideBatchPayload(SerializeDecideBatchRequest({request}), "batch",
+                              DecidePayload::kRequest)
+          .value()
+          .front();
+  ASSERT_TRUE(ParseDecideRequestLine(line, "line").ok());
+  const std::string rekeyed = "sheet" + line.substr(line.find(' '));
+  EXPECT_FALSE(ParseDecideRequestLine(rekeyed, "line").ok());
   EXPECT_FALSE(
-      DeserializeDecisionRequest(SerializeDecisionRequest(request) + "extra\n")
+      DeserializeDecideBatchRequest(JoinDecideBatchPayload({rekeyed})).ok());
+  // Trailing garbage after a complete batch, and after a complete line.
+  EXPECT_FALSE(
+      DeserializeDecideBatchRequest(SerializeDecideBatchRequest({request}) +
+                                    "extra\n")
           .ok());
+  EXPECT_FALSE(ParseDecideRequestLine(line + " extra", "line").ok());
+  EXPECT_FALSE(DeserializeDecideBatchRequest(
+                   JoinDecideBatchPayload({line + " extra"}))
+                   .ok());
   // An artifact block whose byte count overruns the payload.
   EXPECT_FALSE(
       DeserializeControlOp("control swap 3 artifact 5000\nshort\n").ok());

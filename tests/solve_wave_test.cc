@@ -55,7 +55,7 @@ std::vector<PolicySpec> MixedWave() {
   // the same grid.
   for (int i = 0; i < 3; ++i) {
     DeadlineDpSpec spec = DeadlineSpec(10 + 7 * i, 1750.0, 60.0 + 90.0 * i);
-    if (i == 1) spec.algorithm = DeadlineDpSpec::Algorithm::kSimple;
+    if (i == 1) spec.algorithm = pricing::DpAlgorithm::kSimple;
     specs.push_back(spec);
   }
   DeadlineDpSpec bounded = DeadlineSpec(24, 1750.0);

@@ -535,7 +535,8 @@ const std::vector<BenchRequirements>& KnownBenches() {
         "p99_overhead_vs_direct_backends_"},
        ValidateRouterOverhead},
       {"ablate_dp_speedup",
-       {"alg2_eval_speedup_at_nmax", "layer_crossover_work"},
+       {"alg2_eval_speedup_at_nmax", "layer_crossover_work",
+        "layer_starved_rows"},
        {"layer_", "solve_alg1_", "solve_alg2_", "search_"}},
       {"fleet_solve",
        {"wave_seconds", "sequential_solve_seconds", "eval_sequential_seconds",

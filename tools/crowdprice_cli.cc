@@ -11,7 +11,7 @@
 //   crowdprice_cli multitype --tasks1 15 --tasks2 15 --hours 8
 //       --rate 80 --max-price 30 [--replicates 50] [--out plan.txt]
 //   crowdprice_cli solve --wave campaigns.txt [--threads K] [--evaluate]
-//   crowdprice_cli solvers
+//   crowdprice_cli kernels
 //
 // Every policy is produced through engine::Solve; the CLI only builds the
 // PolicySpec and formats the artifact. `fleet` additionally runs the
@@ -92,12 +92,12 @@ int Usage() {
       "      [--intervals-per-hour R] [--evaluate]  (batch-solve one\n"
       "      deadline campaign per line \"tasks hours rate [penalty]\"\n"
       "      through the solve farm; --evaluate also scores each policy)\n"
-      "  crowdprice_cli solvers\n"
       "  crowdprice_cli kernels\n"
       "common acceptance overrides: --accept-s --accept-b --accept-m\n"
       "joint (multitype) overrides: --s1 --b1 --s2 --b2 --m\n"
-      "kernel backend override (deadline/fleet/multitype): --kernel NAME\n"
-      "  (also via CROWDPRICE_KERNEL; `kernels` lists what is available)\n";
+      "kernel backend override (deadline/fleet/multitype/solve):\n"
+      "  --kernel NAME (also via CROWDPRICE_KERNEL; `kernels` lists what is\n"
+      "  available)\n";
   return 1;
 }
 
@@ -688,6 +688,7 @@ int RunSolveWave(const Args& args) {
     spec.interval_lambdas.assign(static_cast<size_t>(intervals),
                                  rate * hours / intervals);
     spec.actions = *actions;
+    spec.dp_options.kernel_backend = args.Str("kernel", "");
     double penalty = 0.0;
     if (cells >> penalty) {
       spec.problem.penalty_cents = penalty;
@@ -706,7 +707,6 @@ int RunSolveWave(const Args& args) {
   engine::SolveWaveOptions options;
   options.pool = &pool;
   options.evaluate = args.Has("evaluate");
-  options.kernel_backend = args.Str("kernel", "");
   const auto start = std::chrono::steady_clock::now();
   auto wave = engine::SolveWave(specs, options);
   const double wall =
@@ -766,14 +766,6 @@ int RunSolveWave(const Args& args) {
   return failed == 0 ? 0 : 2;
 }
 
-int RunSolvers() {
-  std::cout << "registered solvers:\n";
-  for (const std::string& line : engine::SolverRegistry::Global().Describe()) {
-    std::cout << "  " << line << "\n";
-  }
-  return 0;
-}
-
 int RunKernels() {
   const auto& registry = kernel::KernelRegistry::Global();
   auto selected = registry.Resolve("");
@@ -811,7 +803,6 @@ int main(int argc, char** argv) {
   if (args->command == "fleet") return RunFleet(*args);
   if (args->command == "multitype") return RunMultiType(*args);
   if (args->command == "solve") return RunSolveWave(*args);
-  if (args->command == "solvers") return RunSolvers();
   if (args->command == "kernels") return RunKernels();
   std::cerr << "unknown command '" << args->command << "'\n";
   return Usage();
